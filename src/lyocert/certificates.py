@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import MatrixTuple, fs_distance_vec, sample_directions, sample_matrix
+from .geometry import MatrixTuple, fs_distance_vec, sample_directions
 
 LOG2 = math.log(2.0)
 
@@ -115,23 +115,6 @@ class GapLadder:
     tau_star: float
     rho_star: float
     R_norm_bound: float  # 2 + max_i ecc(A_i)^(2 theta)
-
-    def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "gap": self.gap,
-            "ecc": self.ecc,
-            "n0": self.n0,
-            "tau0": self.tau0,
-            "tau0Variant": self.tau0_variant,
-            "tau0Optimistic": self.tau0_optimistic,
-            "tau0Pessimistic": self.tau0_pessimistic,
-            "C2": self.C2,
-            "NTheta": self.N_theta,
-            "tauStar": self.tau_star,
-            "rhoStar": self.rho_star,
-            "RNormBound": self.R_norm_bound,
-        }
 
 
 def perturbation_factor(tuple_: MatrixTuple, theta: float) -> float:
@@ -465,31 +448,7 @@ class CertificateReport:
     chain: dict | None
     boundary: dict | None
     grassmann: dict  # level k -> record
-    formula_ids: dict = field(default_factory=dict)
     input_provenance: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        out = {
-            "ladder": self.ladder.to_dict(),
-            "KStar": self.K_star.to_dict(),
-            "KStarSp": self.K_star_sp,
-            "rigorous": self.rigorous,
-            "rStar": self.r_star,
-            "rExtension": self.r_extension,
-            "logRStarRigorous": self.log_r_star_rigorous,
-            "MStar": self.M_star,
-            "cauchyFirst": self.cauchy_first,
-            "cauchySecond": self.cauchy_second,
-            "radiusConvention": self.radius_convention,
-            "joint": self.joint,
-            "chain": self.chain,
-            "boundary": {k: (v.to_dict() if isinstance(v, LogValue) else v)
-                         for k, v in self.boundary.items()} if self.boundary else None,
-            "grassmann": self.grassmann,
-            "formulaIds": self.formula_ids,
-            "inputProvenance": self.input_provenance,
-        }
-        return out
 
 
 FORMULA_IDS = {
@@ -573,6 +532,5 @@ def certify(tuple_: MatrixTuple, p, theta: float, gap: float,
         cauchy_second=cauchy_second,
         radius_convention=radius_convention,
         joint=joint, chain=chain, boundary=boundary, grassmann=grass,
-        formula_ids=dict(FORMULA_IDS),
         input_provenance=provenance or {},
     )

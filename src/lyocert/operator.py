@@ -9,17 +9,15 @@ Neumann contraction criterion.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg
 
 from .geometry import MatrixTuple
-from .oracles import _max_workers
 
-DENSE_EIG_LIMIT = 600
 MODULUS_SHELL = 1e-8
 
 
@@ -61,10 +59,10 @@ def build_grid(m: int) -> ProjectiveGrid:
 
 @dataclass(frozen=True)
 class DiscretizedOperator:
-    """Dense matrix representation of a (possibly complex/twisted) operator."""
+    """Sparse (CSR) matrix of a (possibly complex/twisted) operator."""
 
     grid: ProjectiveGrid
-    matrix: np.ndarray
+    matrix: scipy.sparse.csr_matrix
     weights: np.ndarray | None  # complex z for iid, None for chain form
     transition: np.ndarray | None  # chain P, None for iid
     twist: float
@@ -94,8 +92,9 @@ def log_stretch_table(tuple_: MatrixTuple, grid: ProjectiveGrid) -> np.ndarray:
     return out
 
 
-def _interpolation_matrix(g: np.ndarray, grid: ProjectiveGrid) -> np.ndarray:
-    """Row-stochastic matrix of the grid dynamics v_j -> g v_j.
+def _interpolation_matrix(g: np.ndarray,
+                          grid: ProjectiveGrid) -> scipy.sparse.csr_matrix:
+    """Row-stochastic CSR matrix of the grid dynamics v_j -> g v_j.
 
     The image angle is resolved onto its two neighboring nodes with periodic
     (period pi) linear hat weights, so rows sum to 1 exactly.
@@ -106,11 +105,11 @@ def _interpolation_matrix(g: np.ndarray, grid: ProjectiveGrid) -> np.ndarray:
     u = ang * (m / math.pi)
     j0 = np.floor(u).astype(int) % m
     w = u - np.floor(u)
-    T = np.zeros((m, m))
     rows = np.arange(m)
-    np.add.at(T, (rows, j0), 1.0 - w)
-    np.add.at(T, (rows, (j0 + 1) % m), w)
-    return T
+    return scipy.sparse.csr_matrix(
+        (np.concatenate([1.0 - w, w]),
+         (np.concatenate([rows, rows]), np.concatenate([j0, (j0 + 1) % m]))),
+        shape=(m, m))
 
 
 def assemble_operator(tuple_: MatrixTuple, z, grid: ProjectiveGrid,
@@ -129,14 +128,9 @@ def assemble_operator(tuple_: MatrixTuple, z, grid: ProjectiveGrid,
     if abs(z.sum() - 1.0) > 1e-12:
         raise ValueError(f"weights must sum to 1, got {z.sum()}")
     phis = log_stretch_table(tuple_, grid)
-    M = np.zeros((grid.m, grid.m), dtype=complex)
-    for i, g in enumerate(tuple_.matrices):
-        factor = z[i] * np.exp(twist * phis[i]) if twist != 0.0 else z[i]
-        M += (factor[:, None] if twist != 0.0 else factor) \
-            * _interpolation_matrix(g, grid)
-    if twist == 0.0 and np.all(np.abs(z.imag) == 0.0):
-        M = M.real.astype(complex)
-    M.setflags(write=False)
+    M = sum(scipy.sparse.diags(z[i] * np.exp(twist * phis[i]))
+            @ _interpolation_matrix(g, grid)
+            for i, g in enumerate(tuple_.matrices)).tocsr()
     return DiscretizedOperator(grid=grid, matrix=M, weights=z,
                                transition=None, twist=twist, n_states=1)
 
@@ -147,17 +141,14 @@ def assemble_chain_operator(P, tuple_: MatrixTuple,
     if tuple_.d != 2:
         raise ValueError("operator discretization is implemented for d = 2 only")
     P = np.asarray(P, dtype=complex)
-    N, m = tuple_.N, grid.m
+    N = tuple_.N
     if P.shape != (N, N):
         raise ValueError(f"transition matrix must be {N}x{N}")
     if np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:
         raise ValueError("transition rows must sum to 1")
     blocks = [_interpolation_matrix(g, grid) for g in tuple_.matrices]
-    M = np.zeros((N * m, N * m), dtype=complex)
-    for i in range(N):
-        for j in range(N):
-            M[i * m:(i + 1) * m, j * m:(j + 1) * m] = P[i, j] * blocks[j]
-    M.setflags(write=False)
+    M = scipy.sparse.bmat([[P[i, j] * blocks[j] for j in range(N)]
+                           for i in range(N)], format="csr")
     return DiscretizedOperator(grid=grid, matrix=M, weights=None,
                                transition=P, twist=0.0, n_states=N)
 
@@ -165,19 +156,24 @@ def assemble_chain_operator(P, tuple_: MatrixTuple,
 # ---------------------------------------------------------------------------
 # Eigen extraction.
 
-def _top_eigenvalues(M: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k largest-modulus eigenpairs (values desc by modulus, right vectors)."""
+def _top_eigenvalues(M, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k largest-modulus eigenpairs (values desc by modulus, right vectors).
+
+    ARPACK on the sparse matrix; the dense LAPACK solve runs only where
+    ARPACK cannot (k >= n - 2) or did not converge, so partial eigenpairs
+    are never used. ARPACK starts from a fixed seeded vector, so repeated
+    solves give the same bits (its own random start changes per call).
+    """
     n = M.shape[0]
-    if n <= DENSE_EIG_LIMIT or k >= n - 2:
-        vals, vecs = scipy.linalg.eig(M)
+    if k >= n - 2:
+        vals, vecs = scipy.linalg.eig(M.toarray())
     else:
+        v0 = np.random.default_rng(0).random(n)
         try:
-            vals, vecs = scipy.sparse.linalg.eigs(M, k=min(k, n - 2), which="LM",
+            vals, vecs = scipy.sparse.linalg.eigs(M, k=k, which="LM", v0=v0,
                                                   maxiter=5000, tol=1e-12)
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            vals, vecs = exc.eigenvalues, exc.eigenvectors
-            if vals is None or len(vals) == 0:
-                vals, vecs = scipy.linalg.eig(M)
+        except scipy.sparse.linalg.ArpackNoConvergence:
+            vals, vecs = scipy.linalg.eig(M.toarray())
     order = np.argsort(-np.abs(vals))[:k]
     return vals[order], vecs[:, order]
 
@@ -308,12 +304,7 @@ def taylor_coefficients(tuple_: MatrixTuple, p0, direction, order: int,
         return analytic_extension_value(tuple_, z, grid, phis)
 
     try:
-        workers = _max_workers()
-        if workers > 1 and nodes > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                values = np.array(list(pool.map(_eval, thetas)), dtype=complex)
-        else:
-            values = np.array([_eval(t) for t in thetas], dtype=complex)
+        values = np.array([_eval(t) for t in thetas], dtype=complex)
     except EigenvalueCollisionError as exc:
         raise ContourTooLargeError(
             f"leading eigenvalue collided on the contour of radius "
@@ -361,8 +352,8 @@ def neumann_criterion_check(tuple_: MatrixTuple, p0, z, grid: ProjectiveGrid,
     zeta runs over contour_nodes points on |zeta - 1| = rho_star; the value
     reports the Neumann-series contraction factor of the perturbed resolvent.
     """
-    M0 = assemble_operator(tuple_, p0, grid).matrix
-    Dz = assemble_operator(tuple_, z, grid).matrix - M0
+    M0 = assemble_operator(tuple_, p0, grid).matrix.toarray()
+    Dz = assemble_operator(tuple_, z, grid).matrix.toarray() - M0
     m = grid.m
     worst = 0.0
     for q in range(contour_nodes):

@@ -4,15 +4,13 @@ These are the ground-truth oracles: i.i.d. and Markov-chain driven cocycles,
 top exponent, full spectrum via a QR (Benettin-style) recurrence, and
 exterior-power partial sums. All estimators are deterministic functions of
 (spec, steps, trials, seed); per-trial streams are derived from the master
-seed with a counter split, so trials can run in any order or in parallel and
-pool to the same mean.
+seed with a counter split, so each trial's estimate does not depend on the
+others.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,13 +23,6 @@ DEFAULT_BURNIN = 1000
 
 class NumericOverflowError(ArithmeticError):
     """Non-finite accumulation; signals a missing renormalization."""
-
-
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("LYOCERT_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -113,6 +104,9 @@ def _draw_indices(spec: CocycleSpec, rng: np.random.Generator,
         return rng.choice(spec.tuple.N, size=n, p=spec.weights)
     P = spec.transition
     cum = np.cumsum(P, axis=1)
+    # Rows sum to 1 only within 1e-12; a u above a row's last partial sum
+    # would index past the last state.
+    cum[:, -1] = 1.0
     pi = stationary_distribution(P)
     idx = np.empty(n, dtype=np.int64)
     state = rng.choice(spec.tuple.N, p=pi)
@@ -163,17 +157,12 @@ def _run_trials(spec: CocycleSpec, steps: int, trials: int, seed: int,
     if steps < 1 or trials < 1:
         raise ValueError("steps and trials must be >= 1")
 
-    def one(trial: int) -> np.ndarray:
+    rows = []
+    for trial in range(trials):
         rng = _trial_rng(seed, trial)
         idx = _draw_indices(spec, rng, burnin + steps)
-        return _frame_trial(matrices, idx, rng, steps, burnin, n_vectors) / steps
-
-    workers = _max_workers()
-    if workers > 1 and trials > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            rows = list(ex.map(one, range(trials)))
-    else:
-        rows = [one(t) for t in range(trials)]
+        rows.append(_frame_trial(matrices, idx, rng, steps, burnin,
+                                 n_vectors) / steps)
     return np.array(rows)
 
 

@@ -334,10 +334,6 @@ def partial_sum_consistency(tuple_: MatrixTuple, p, k: int,
 # ---------------------------------------------------------------------------
 # Sampled Lipschitz-lemma suites.
 
-def _sample_gl(rng, d):
-    return sample_matrix(rng, d)
-
-
 def lemma_sampling_suite(samples: int = 100_000, seed: int = 0,
                          d: int = 3) -> VerificationReport:
     """Randomized checks of the geometric Lipschitz inequalities.
@@ -369,7 +365,7 @@ def lemma_sampling_suite(samples: int = 100_000, seed: int = 0,
     while done < samples:
         n = min(block, samples - done)
         for _ in range(n):
-            g = _sample_gl(rng, d)
+            g = sample_matrix(rng, d)
             sv = singular_values(g)
             nrm, inv = sv[0], 1.0 / sv[-1]
             ecc = nrm * inv

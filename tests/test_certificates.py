@@ -272,12 +272,6 @@ class TestCertify:
         assert report.boundary is not None
         assert 1 in report.grassmann
 
-    def test_to_dict_has_formula_ids(self):
-        report = cert.certify(REFERENCE, (0.5, 0.5), THETA, GAP)
-        d = report.to_dict()
-        assert d["formulaIds"] == cert.FORMULA_IDS
-        assert d["ladder"]["n0"] == 11
-
     def test_rejects_mismatched_weights(self):
         with pytest.raises(ValueError):
             cert.certify(REFERENCE, (0.3, 0.3, 0.4), THETA, GAP)

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
+from scipy.sparse import csr_array
 
 import lyocert.geometry as geo
 import lyocert.operator as op
@@ -34,8 +37,9 @@ class TestGrid:
 class TestAssembly:
     def test_real_weights_give_row_stochastic_matrix(self):
         disc = op.assemble_operator(REFERENCE, P0, GRID)
-        assert np.max(np.abs(disc.matrix.sum(axis=1) - 1.0)) < 1e-12
-        assert np.all(disc.matrix.real >= -1e-15)
+        M = disc.matrix.toarray()
+        assert np.max(np.abs(M.sum(axis=1) - 1.0)) < 1e-12
+        assert np.all(M.real >= -1e-15)
 
     def test_grid_aligned_rotation_is_permutation(self):
         # A rotation by one grid step maps each node exactly onto the next,
@@ -44,7 +48,7 @@ class TestAssembly:
         g = op.build_grid(m)
         T = geo.MatrixTuple.from_matrices([_rotation(math.pi / m)])
         disc = op.assemble_operator(T, [1.0], g)
-        M = disc.matrix.real
+        M = disc.matrix.toarray().real
         assert np.allclose(np.sort(M, axis=1)[:, -1], 1.0, atol=1e-12)
         assert np.allclose(M.sum(axis=0), 1.0, atol=1e-12)
 
@@ -93,7 +97,8 @@ class TestEigenExtraction:
     def test_collision_detected_on_engineered_spectrum(self):
         # Two distinct eigenvalues of equal modulus on the leading shell.
         D = np.diag([1.0, -1.0, 0.5, 0.25]).astype(complex)
-        disc = op.DiscretizedOperator(grid=op.build_grid(8), matrix=D,
+        disc = op.DiscretizedOperator(grid=op.build_grid(8),
+                                      matrix=csr_array(D),
                                       weights=None, transition=None,
                                       twist=0.0, n_states=1)
         with pytest.raises(op.EigenvalueCollisionError):
@@ -102,19 +107,66 @@ class TestEigenExtraction:
     def test_no_collision_for_conjugate_subleading_pair(self):
         # A complex-conjugate pair strictly inside the unit disc is fine.
         D = np.diag([1.0, 0.5 + 0.5j, 0.5 - 0.5j]).astype(complex)
-        disc = op.DiscretizedOperator(grid=op.build_grid(8), matrix=D,
+        disc = op.DiscretizedOperator(grid=op.build_grid(8),
+                                      matrix=csr_array(D),
                                       weights=None, transition=None,
                                       twist=0.0, n_states=1)
         mu, _, _ = op.leading_eigenpair(disc, k=3)
         assert mu == pytest.approx(1.0)
 
-    def test_arpack_path_matches_dense(self):
-        m_dense, m_arpack = 400, op.DENSE_EIG_LIMIT + 100
-        v_dense = op.spectral_gap_measured(
-            op.assemble_operator(REFERENCE, P0, op.build_grid(m_dense)))
-        v_arpack = op.spectral_gap_measured(
-            op.assemble_operator(REFERENCE, P0, op.build_grid(m_arpack)))
-        assert v_dense[0] == pytest.approx(v_arpack[0], abs=0.05)
+    def test_sparse_solve_matches_dense(self, monkeypatch):
+        # ARPACK on the CSR operator against LAPACK on the same operator
+        # densified, through every public value built on the eigensolve.
+        grid = op.build_grid(90)
+        z = np.array([0.5 + 0.01j, 0.5 - 0.01j])
+        P = [[0.7, 0.3], [0.4, 0.6]]
+
+        def values():
+            disc = op.assemble_operator(REFERENCE, P0, grid)
+            return [op.leading_eigenpair(disc)[0],
+                    op.spectral_gap_measured(disc)[0],
+                    op.analytic_extension_value(REFERENCE, P0, grid),
+                    op.analytic_extension_value(REFERENCE, z, grid),
+                    op.chain_extension_value(P, REFERENCE, grid)]
+
+        calls = []
+        eigs = scipy.sparse.linalg.eigs
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs",
+                            lambda *a, **kw: calls.append(1) or eigs(*a, **kw))
+        sparse = values()
+        # Two solves per eigenpair and one for rho2; a repeat gives the
+        # same bits, since ARPACK starts from a fixed vector.
+        assert values() == sparse
+        assert len(calls) == 18
+
+        def dense_top(M, k):
+            vals, vecs = scipy.linalg.eig(M.toarray())
+            order = np.argsort(-np.abs(vals))[:k]
+            return vals[order], vecs[:, order]
+
+        monkeypatch.setattr(op, "_top_eigenvalues", dense_top)
+        dense = values()
+        assert np.max(np.abs(np.subtract(sparse, dense))) <= 1e-12
+
+    def test_arpack_no_convergence_falls_back_to_dense(self, monkeypatch):
+        disc = op.assemble_operator(REFERENCE, P0, op.build_grid(60))
+        vals = scipy.linalg.eigvals(disc.matrix.toarray())
+        rho2_dense = np.sort(np.abs(vals))[-2]
+
+        calls = []
+
+        def no_convergence(A, k, **kw):
+            # Two partial pairs, the second far from any true eigenvalue.
+            calls.append(k)
+            raise scipy.sparse.linalg.ArpackNoConvergence(
+                "no convergence", np.array([1.0, 0.9], dtype=complex),
+                np.ones((A.shape[0], 2), dtype=complex))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
+        rho2, _ = op.spectral_gap_measured(disc)
+        assert rho2 == pytest.approx(rho2_dense, abs=1e-12)
+        assert calls == [8]
+        assert abs(rho2 - 0.9) > 0.1
 
     def test_measured_gap_reference(self):
         # Grid divisible by 3 aligns with the pi/3 conjugating rotation:

@@ -172,6 +172,21 @@ class TestMarkov:
         with pytest.raises(ValueError):
             orc.estimate_markov_exponent(spec, steps=100, trials=2, seed=0)
 
+    def test_sampler_stays_in_range_when_row_sums_below_one(self):
+        # The first row sums to 1 - 9e-13, inside the validation tolerance;
+        # a uniform draw above that sum must still pick the last state.
+        class StubRng:
+            def choice(self, n, p=None):
+                return 0
+
+            def random(self, n):
+                return np.full(n, 1.0 - 1e-13)
+
+        spec = orc.CocycleSpec.markov(REFERENCE,
+                                      [[0.5, 0.5 - 9e-13], [0.5, 0.5]])
+        idx = orc._draw_indices(spec, StubRng(), 4)
+        assert idx.tolist() == [1, 1, 1, 1]
+
 
 class TestOverflowSafety:
     def test_large_norms_stay_finite(self):
