@@ -1,7 +1,7 @@
 """Matrices, projective and Grassmannian geometry, exterior powers.
 
 Everything here is pure: the types are frozen after construction and the
-operations allocate fresh arrays, so they can be shared freely across threads.
+operations allocate fresh arrays.
 """
 
 from __future__ import annotations
@@ -99,10 +99,10 @@ class MatrixTuple:
 
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(np.abs(v) > 1e-14)[0]
-    if nz.size and v[nz[0]] < 0:
-        return -v
-    return v
+    """Flip each vector of a stack (..., n) so its first nonzero entry is > 0."""
+    nz = np.abs(v) > 1e-14
+    lead = np.take_along_axis(v, np.argmax(nz, axis=-1)[..., None], axis=-1)
+    return np.where((lead < 0) & nz.any(axis=-1, keepdims=True), -v, v)
 
 
 @dataclass(frozen=True)
@@ -148,13 +148,19 @@ def fs_distance(u: ProjectivePoint, v: ProjectivePoint) -> float:
     return fs_distance_vec(u.vector, v.vector)
 
 
-def fs_distance_vec(u: np.ndarray, v: np.ndarray) -> float:
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    dot = float(np.dot(u, v))
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """np.dot over the last axis of two stacks (..., d), pair by pair."""
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def fs_distance_vec(u: np.ndarray, v: np.ndarray):
+    """Fubini-Study distance of matching vectors of two stacks (..., d)."""
+    nu = np.sqrt(_dot(u, u))
+    nv = np.sqrt(_dot(v, v))
+    dot = _dot(u, v)
     # ||u ^ v||^2 = ||u||^2 ||v||^2 - <u, v>^2
-    sq = max(nu * nu * nv * nv - dot * dot, 0.0)
-    return math.sqrt(sq) / (nu * nv)
+    sq = np.maximum(nu * nu * nv * nv - dot * dot, 0.0)
+    return np.sqrt(sq) / (nu * nv)
 
 
 def projective_action(g, v: ProjectivePoint) -> ProjectivePoint:
@@ -176,27 +182,32 @@ def exterior_power(g, k: int) -> np.ndarray:
     """Matrix of the k-th exterior power in the lexicographic wedge basis.
 
     Entry (I, J) is the k x k minor det(g[I, J]) with I, J sorted index
-    tuples; this fixes all sign conventions.
+    tuples; this fixes all sign conventions. g may be a stack (..., d, d).
     """
-    g = _as_matrix(g)
-    d = g.shape[0]
+    g = np.asarray(g, dtype=float)
+    if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
+        raise InvalidMatrixError(f"expected square matrices, got shape {g.shape}")
+    d = g.shape[-1]
     if not 1 <= k <= d:
         raise ValueError(f"k = {k} out of range for d = {d}")
-    subsets = _lex_subsets(d, k)
-    n = len(subsets)
-    out = np.empty((n, n))
-    for a, rows in enumerate(subsets):
-        gr = g[np.ix_(rows, range(d))]
-        for b, cols in enumerate(subsets):
-            out[a, b] = np.linalg.det(gr[:, cols])
-    return out
+    sub = np.array(_lex_subsets(d, k))
+    return np.linalg.det(g[..., sub[:, None, :, None], sub[None, :, None, :]])
 
 
 def wedge_vector(basis: np.ndarray) -> np.ndarray:
-    """k-fold wedge of the columns of a d x k matrix, lexicographic basis."""
-    d, k = basis.shape
-    subsets = _lex_subsets(d, k)
-    return np.array([np.linalg.det(basis[list(rows), :]) for rows in subsets])
+    """k-fold wedge of the columns of d x k matrices (..., d, k), lex basis."""
+    d, k = basis.shape[-2:]
+    return np.linalg.det(basis[..., np.array(_lex_subsets(d, k)), :])
+
+
+def unit_plane(basis) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis and canonical unit wedge of the column span of a
+    d x k matrix or a stack (..., d, k); ValueError on dependent columns."""
+    q, r = np.linalg.qr(basis)
+    if np.min(np.abs(np.diagonal(r, axis1=-2, axis2=-1))) < 1e-12:
+        raise ValueError("basis vectors are linearly dependent")
+    w = wedge_vector(q)
+    return q, _canonical_sign(w / np.linalg.norm(w, axis=-1, keepdims=True))
 
 
 @dataclass(frozen=True)
@@ -216,11 +227,7 @@ class GrassmannPoint:
         d, k = basis.shape
         if not 1 <= k <= d - 1:
             raise ValueError(f"need 1 <= k <= d-1, got k={k}, d={d}")
-        q, r = np.linalg.qr(basis)
-        if np.min(np.abs(np.diag(r))) < 1e-12:
-            raise ValueError("basis vectors are linearly dependent")
-        w = wedge_vector(q)
-        w = _canonical_sign(w / np.linalg.norm(w))
+        q, w = unit_plane(basis)
         q = np.ascontiguousarray(q)
         q.setflags(write=False)
         w.setflags(write=False)
@@ -231,9 +238,13 @@ def grassmann_distance(V: GrassmannPoint, W: GrassmannPoint) -> float:
     """Chordal Fubini-Study distance min_sign ||v_V -/+ v_W|| on Gr(k, d)."""
     if (V.k, V.d) != (W.k, W.d):
         raise ValueError("mismatched (k, d)")
-    return float(
-        min(np.linalg.norm(V.wedge - W.wedge), np.linalg.norm(V.wedge + W.wedge))
-    )
+    return float(wedge_distance(V.wedge, W.wedge))
+
+
+def wedge_distance(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """min_sign ||v -/+ w|| over the last axis of two stacks of unit wedges."""
+    return np.minimum(np.linalg.norm(v - w, axis=-1),
+                      np.linalg.norm(v + w, axis=-1))
 
 
 def grassmann_action(g, V: GrassmannPoint) -> GrassmannPoint:
@@ -250,9 +261,20 @@ def sample_directions(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def random_rotation(rng: np.random.Generator, d: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((d, d)))
-    return q * np.sign(np.diag(r))
+def draw_matrix_sample(rng: np.random.Generator, d: int,
+                       s_range=(0.2, 5.0)) -> tuple[np.ndarray, np.ndarray]:
+    """The random draws of one sample_matrix call, in stream order: d
+    log-uniform log singular values, then the normals of the two rotations."""
+    lo, hi = np.log(s_range[0]), np.log(s_range[1])
+    return rng.uniform(lo, hi, size=d), rng.standard_normal((2, d, d))
+
+
+def matrix_from_draws(log_s: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """R1 diag(s) R2 from draw_matrix_sample outputs, stacked on leading axes:
+    log_s (..., d) and normals (..., 2, d, d) give sign-fixed QR rotations."""
+    q, r = np.linalg.qr(normals)
+    rot = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    return (rot[..., 0, :, :] * np.exp(log_s)[..., None, :]) @ rot[..., 1, :, :]
 
 
 def sample_matrix(rng: np.random.Generator, d: int,
@@ -262,6 +284,4 @@ def sample_matrix(rng: np.random.Generator, d: int,
     Covers the eccentricity range up to (s_max/s_min) without degenerate
     input.
     """
-    lo, hi = np.log(s_range[0]), np.log(s_range[1])
-    s = np.exp(rng.uniform(lo, hi, size=d))
-    return random_rotation(rng, d) @ np.diag(s) @ random_rotation(rng, d)
+    return matrix_from_draws(*draw_matrix_sample(rng, d, s_range))

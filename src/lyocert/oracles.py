@@ -97,73 +97,67 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
 
 
-def _draw_indices(spec: CocycleSpec, rng: np.random.Generator,
-                  n: int) -> np.ndarray:
-    """Driving index sequence of length n (chain started from pi(P))."""
+def _draw_indices(spec: CocycleSpec, rngs, n: int) -> np.ndarray:
+    """(len(rngs), n) driving index sequences, row r drawn from rngs[r]
+    (chain started from pi(P))."""
     if spec.kind == "iid":
-        return rng.choice(spec.tuple.N, size=n, p=spec.weights)
+        return np.array([rng.choice(spec.tuple.N, size=n, p=spec.weights)
+                         for rng in rngs])
     P = spec.transition
     cum = np.cumsum(P, axis=1)
     # Rows sum to 1 only within 1e-12; a u above a row's last partial sum
     # would index past the last state.
     cum[:, -1] = 1.0
     pi = stationary_distribution(P)
-    idx = np.empty(n, dtype=np.int64)
-    state = rng.choice(spec.tuple.N, p=pi)
-    u = rng.random(n)
+    state = np.empty(len(rngs), dtype=np.int64)
+    u = np.empty((len(rngs), n))
+    for r, rng in enumerate(rngs):
+        state[r] = rng.choice(spec.tuple.N, p=pi)
+        u[r] = rng.random(n)
+    idx = np.empty((len(rngs), n), dtype=np.int64)
     for t in range(n):
-        state = int(np.searchsorted(cum[state], u[t]))
-        idx[t] = state
+        # the count of partial sums below u is searchsorted(..., u, "left")
+        state = np.count_nonzero(cum[state] < u[:, t, None], axis=1)
+        idx[:, t] = state
     return idx
 
 
-def _frame_trial(matrices, idx, rng, steps: int, burnin: int,
-                 n_vectors: int) -> np.ndarray:
-    """Accumulated log stretches of an orthonormal n_vectors-frame.
+def _run_trials(spec: CocycleSpec, steps: int, trials: int, seed: int,
+                burnin: int, n_vectors: int, matrices) -> np.ndarray:
+    """(trials, n_vectors) per-trial exponent estimates, fixed trial order.
 
-    Returns per-direction sums of log R-diagonals over the `steps` window
-    after burn-in; renormalizes (QR) every RENORM_INTERVAL steps.
+    Each trial draws its indices, then its initial frame, from its own
+    stream; all trials' orthonormal frames advance together. The per-
+    direction sums of log R-diagonals over the `steps` window after burn-in
+    are accumulated with a QR renormalization every RENORM_INTERVAL steps.
     """
-    d = matrices[0].shape[0]
-    frame = np.linalg.qr(rng.standard_normal((d, n_vectors)))[0]
-    logs = np.zeros(n_vectors)
+    if steps < 1 or trials < 1:
+        raise ValueError("steps and trials must be >= 1")
+    rngs = [_trial_rng(seed, trial) for trial in range(trials)]
     total = burnin + steps
-
-    def renorm(frame, counting):
-        q, r = np.linalg.qr(frame)
-        diag = np.abs(np.diag(r))
-        if np.any(diag < 1e-300) or not np.all(np.isfinite(diag)):
-            raise NumericOverflowError("frame degenerated during accumulation")
-        if counting:
-            logs[:] += np.log(diag)
-        return q * np.sign(np.diag(r))
-
+    idx = _draw_indices(spec, rngs, total)
+    mats = np.asarray(matrices)
+    d = mats.shape[-1]
+    frames = np.linalg.qr(np.array(
+        [rng.standard_normal((d, n_vectors)) for rng in rngs]))[0]
+    logs = np.zeros((trials, n_vectors))
     t = 0
     while t < total:
         block = min(RENORM_INTERVAL, total - t)
         # never mix burn-in and accumulation inside one block
         if t < burnin:
             block = min(block, burnin - t)
-        for s in range(block):
-            frame = matrices[idx[t + s]] @ frame
+        for step_mats in mats[idx[:, t:t + block].T]:
+            frames = step_mats @ frames
         t += block
-        frame = renorm(frame, counting=t > burnin)
-    return logs
-
-
-def _run_trials(spec: CocycleSpec, steps: int, trials: int, seed: int,
-                burnin: int, n_vectors: int, matrices) -> np.ndarray:
-    """(trials, n_vectors) per-trial exponent estimates, fixed trial order."""
-    if steps < 1 or trials < 1:
-        raise ValueError("steps and trials must be >= 1")
-
-    rows = []
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        idx = _draw_indices(spec, rng, burnin + steps)
-        rows.append(_frame_trial(matrices, idx, rng, steps, burnin,
-                                 n_vectors) / steps)
-    return np.array(rows)
+        q, r = np.linalg.qr(frames)
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        if np.any(np.abs(diag) < 1e-300) or not np.all(np.isfinite(diag)):
+            raise NumericOverflowError("frame degenerated during accumulation")
+        if t > burnin:
+            logs += np.log(np.abs(diag))
+        frames = q * np.sign(diag)[..., None, :]
+    return logs / steps
 
 
 def _mean_stderr(per_trial: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -200,7 +194,7 @@ def estimate_partial_sum(spec: CocycleSpec, k: int, steps: int, trials: int,
     d = spec.tuple.d
     if not 1 <= k <= d - 1:
         raise ValueError(f"need 1 <= k <= d-1, got {k}")
-    wedge = [exterior_power(m, k) for m in spec.tuple.matrices]
+    wedge = exterior_power(np.array(spec.tuple.matrices), k)
     per = _run_trials(spec, steps, trials, seed, burnin, 1, wedge)
     mean, stderr = _mean_stderr(per)
     return float(mean[0]), float(stderr[0])

@@ -16,9 +16,9 @@ import numpy as np
 
 from . import certificates as cert
 from . import operator as top
-from .geometry import (MatrixTuple, exterior_power, fs_distance_vec,
-                       grassmann_action, grassmann_distance, GrassmannPoint,
-                       sample_directions, sample_matrix, singular_values)
+from .geometry import (MatrixTuple, draw_matrix_sample, exterior_power,
+                       fs_distance_vec, matrix_from_draws, unit_plane,
+                       wedge_distance)
 from .oracles import (CocycleSpec, estimate_markov_exponent,
                       estimate_partial_sum, estimate_spectrum,
                       estimate_top_exponent, lyapunov_gap)
@@ -334,6 +334,79 @@ def partial_sum_consistency(tuple_: MatrixTuple, p, k: int,
 # ---------------------------------------------------------------------------
 # Sampled Lipschitz-lemma suites.
 
+LEMMA_BLOCK = 1000
+
+
+def _lemma_block(rng: np.random.Generator, n: int, d: int, k: int):
+    """Draws of n lemma samples in stream order: sample_matrix, the two
+    directions, the perturbation, its scale, and two (d, k) bases."""
+    log_s = np.empty((n, d))
+    rot = np.empty((n, 2, d, d))
+    normals = np.empty((n, 2 * d + d * d))
+    scale = np.empty(n)
+    bases = np.empty((n, 2 * d * k))
+    for i in range(n):
+        log_s[i], rot[i] = draw_matrix_sample(rng, d)
+        normals[i] = rng.standard_normal(2 * d + d * d)
+        scale[i] = rng.random()
+        bases[i] = rng.standard_normal(2 * d * k)
+    uv = normals[:, :2 * d].reshape(n, 2, d)
+    uv = uv / np.linalg.norm(uv, axis=-1, keepdims=True)
+    return (matrix_from_draws(log_s, rot), uv,
+            normals[:, 2 * d:].reshape(n, d, d), scale,
+            bases.reshape(n, 2, d, k))
+
+
+def _lemma_tallies(samples: int, seed: int, d: int, k: int):
+    """Worst lhs/rhs ratio and violation count of each lemma family."""
+    rng = np.random.default_rng(seed)
+    worst = {"proj_contract": 0.0, "logform_lip_g": 0.0, "logform_lip_v": 0.0,
+             "grassmann_contract": 0.0, "grassmann_perturb": 0.0}
+    violations = dict.fromkeys(worst, 0)
+
+    def tally(name, lhs, rhs):
+        ratio = np.divide(lhs, rhs, out=np.zeros_like(lhs), where=rhs > 0)
+        worst[name] = max(worst[name], float(ratio.max()))
+        violations[name] += int(np.count_nonzero(lhs > rhs * (1 + 1e-10)))
+
+    done = 0
+    while done < samples:
+        n = min(LEMMA_BLOCK, samples - done)
+        g, uv, delta, scale, bases = _lemma_block(rng, n, d, k)
+        sv = np.linalg.svd(g, compute_uv=False)
+        nrm, inv = sv[:, 0], 1.0 / sv[:, -1]
+        ecc = nrm * inv
+        u = uv[:, 0]
+        guv = (g[:, None] @ uv[..., None])[..., 0]
+        d_uv = fs_distance_vec(u, uv[:, 1])
+        tally("proj_contract", fs_distance_vec(guv[:, 0], guv[:, 1]),
+              ecc ** 2 * d_uv)
+        # matrix Lipschitz of the log stretch
+        factor = 0.1 * scale / np.linalg.norm(delta, 2, axis=(-2, -1))
+        delta *= factor[:, None, None]
+        delta_norm = np.linalg.norm(delta, 2, axis=(-2, -1))
+        g2 = g + delta
+        sv2 = np.linalg.svd(g2, compute_uv=False)
+        inv_max = np.maximum(inv, 1.0 / sv2[:, -1])
+        phi = np.log(np.linalg.norm(guv, axis=-1))
+        phi2 = np.log(np.linalg.norm((g2 @ u[..., None])[..., 0], axis=-1))
+        tally("logform_lip_g", np.abs(phi[:, 0] - phi2), inv_max * delta_norm)
+        # direction Lipschitz of the log stretch
+        tally("logform_lip_v", np.abs(phi[:, 0] - phi[:, 1]),
+              (ecc + 1.0) * d_uv)
+        # Grassmannian contraction and perturbation
+        q, w = unit_plane(bases)
+        _, gw = unit_plane(g[:, None] @ q)
+        tally("grassmann_contract", wedge_distance(gw[:, 0], gw[:, 1]),
+              ecc ** k * wedge_distance(w[:, 0], w[:, 1]))
+        _, g2w = unit_plane(g2 @ q[:, 0])
+        tally("grassmann_perturb", wedge_distance(gw[:, 0], g2w),
+              k * np.maximum(nrm, sv2[:, 0]) ** (k - 1) * inv_max ** k
+              * delta_norm)
+        done += n
+    return worst, violations
+
+
 def lemma_sampling_suite(samples: int = 100_000, seed: int = 0,
                          d: int = 3) -> VerificationReport:
     """Randomized checks of the geometric Lipschitz inequalities.
@@ -352,74 +425,14 @@ def lemma_sampling_suite(samples: int = 100_000, seed: int = 0,
         invariance (take g contracting with k = 1), so the full constant
         is the one validated here.
     Violations are failures; the report records each family's worst margin.
+    Samples are drawn one at a time from a single stream and checked in
+    blocks of LEMMA_BLOCK as stacks. g' = g + Delta with ||Delta|| <= 0.1
+    stays invertible: sigma_min(g) >= 0.2 under sample_matrix's law.
     """
     report = VerificationReport()
-    rng = np.random.default_rng(seed)
-    k = 2 if d >= 3 else 1
-    worst = {"proj_contract": 0.0, "logform_lip_g": 0.0, "logform_lip_v": 0.0,
-             "grassmann_contract": 0.0, "grassmann_perturb": 0.0}
-    violations = dict.fromkeys(worst, 0)
     t0 = time.time()
-    block = 1000
-    done = 0
-    while done < samples:
-        n = min(block, samples - done)
-        for _ in range(n):
-            g = sample_matrix(rng, d)
-            sv = singular_values(g)
-            nrm, inv = sv[0], 1.0 / sv[-1]
-            ecc = nrm * inv
-            u, v = sample_directions(rng, 2, d)
-            # projective contraction
-            lhs = fs_distance_vec(g @ u, g @ v)
-            rhs = ecc ** 2 * fs_distance_vec(u, v)
-            ratio = lhs / rhs if rhs > 0 else 0.0
-            worst["proj_contract"] = max(worst["proj_contract"], ratio)
-            if lhs > rhs * (1 + 1e-10):
-                violations["proj_contract"] += 1
-            # matrix Lipschitz of the log stretch
-            delta = rng.standard_normal((d, d))
-            delta *= 0.1 * rng.random() / np.linalg.norm(delta, 2)
-            g2 = g + delta
-            sv2 = singular_values(g2)
-            if sv2[-1] < 1e-8:
-                continue
-            phi1 = math.log(np.linalg.norm(g @ u))
-            phi2 = math.log(np.linalg.norm(g2 @ u))
-            lhs = abs(phi1 - phi2)
-            rhs = max(inv, 1.0 / sv2[-1]) * np.linalg.norm(delta, 2)
-            worst["logform_lip_g"] = max(worst["logform_lip_g"],
-                                         lhs / rhs if rhs > 0 else 0.0)
-            if lhs > rhs * (1 + 1e-10):
-                violations["logform_lip_g"] += 1
-            # direction Lipschitz of the log stretch
-            lhs = abs(math.log(np.linalg.norm(g @ u))
-                      - math.log(np.linalg.norm(g @ v)))
-            rhs = (ecc + 1.0) * fs_distance_vec(u, v)
-            worst["logform_lip_v"] = max(worst["logform_lip_v"],
-                                         lhs / rhs if rhs > 0 else 0.0)
-            if lhs > rhs * (1 + 1e-10):
-                violations["logform_lip_v"] += 1
-            # Grassmannian contraction and perturbation
-            V = GrassmannPoint.from_basis(rng.standard_normal((d, k)))
-            W = GrassmannPoint.from_basis(rng.standard_normal((d, k)))
-            gV, gW = grassmann_action(g, V), grassmann_action(g, W)
-            lhs = grassmann_distance(gV, gW)
-            rhs = ecc ** k * grassmann_distance(V, W)
-            worst["grassmann_contract"] = max(worst["grassmann_contract"],
-                                              lhs / rhs if rhs > 0 else 0.0)
-            if lhs > rhs * (1 + 1e-10):
-                violations["grassmann_contract"] += 1
-            g2V = grassmann_action(g2, V)
-            lhs = grassmann_distance(gV, g2V)
-            rhs = (k * max(nrm, sv2[0]) ** (k - 1)
-                   * max(inv, 1.0 / sv2[-1]) ** k
-                   * np.linalg.norm(delta, 2))
-            worst["grassmann_perturb"] = max(worst["grassmann_perturb"],
-                                             lhs / rhs if rhs > 0 else 0.0)
-            if lhs > rhs * (1 + 1e-10):
-                violations["grassmann_perturb"] += 1
-        done += n
+    k = 2 if d >= 3 else 1
+    worst, violations = _lemma_tallies(samples, seed, d, k)
     for name in worst:
         report.add(CheckRecord(
             name=f"lemma.{name}",
@@ -438,12 +451,16 @@ def exterior_norm_identity_check(samples: int = 10_000, seed: int = 1,
     report = VerificationReport()
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(samples):
-        g = sample_matrix(rng, d)
-        sv = singular_values(g)
-        lhs = np.linalg.norm(exterior_power(g, k), 2)
-        rhs = float(np.prod(sv[:k]))
-        worst = max(worst, abs(lhs - rhs) / rhs)
+    done = 0
+    while done < samples:
+        n = min(LEMMA_BLOCK, samples - done)
+        log_s, rot = zip(*(draw_matrix_sample(rng, d) for _ in range(n)))
+        g = matrix_from_draws(np.array(log_s), np.array(rot))
+        sv = np.linalg.svd(g, compute_uv=False)
+        lhs = np.linalg.norm(exterior_power(g, k), 2, axis=(-2, -1))
+        rhs = np.prod(sv[:, :k], axis=-1)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs) / rhs)))
+        done += n
     report.add(CheckRecord(
         name="lemma.exterior_norm_identity",
         status="pass" if worst <= 1e-10 else "fail",
@@ -564,20 +581,26 @@ def resolvent_identity_check(trials: int = 20, seed: int = 3,
 
 def collapse_scan(tuple_: MatrixTuple, p0, grid_m: int = 200,
                   r_extension: float | None = None,
-                  radii=None, directions: int = 4) -> dict:
+                  radii=None, directions: int = 4, *,
+                  theta: float | None = None,
+                  gap: float | None = None) -> dict:
     """Sweep complex weight perturbations until the leading eigenvalue collides.
 
     Zero-sum directions with complex phases are scanned outward; the
     smallest |t| triggering an eigenvalue collision is reported, or
     none-found. When a collision is found its distance is compared against
-    the extension radius (the collapse set must avoid the polydisc).
+    the extension radius (the collapse set must avoid the polydisc). Without
+    r_extension, the radius is certified for this tuple at p0 from theta and
+    gap, which are then required.
     """
     p0 = np.asarray(p0, dtype=float)
     N = tuple_.N
     grid = top.build_grid(grid_m)
     if r_extension is None:
-        rep = cert.certify(tuple_, p0, REFERENCE_THETA, REFERENCE_GAP)
-        r_extension = rep.r_extension
+        if theta is None or gap is None:
+            raise ValueError("collapse_scan needs r_extension, or theta and "
+                             "gap to certify it")
+        r_extension = cert.certify(tuple_, p0, theta, gap).r_extension
     if radii is None:
         radii = r_extension * np.geomspace(0.25, 20.0, 12)
     base = np.zeros(N)

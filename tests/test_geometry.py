@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,13 @@ import lyocert.geometry as geo
 
 def _rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def _exterior_power_reference(g, k):
+    """One k x k minor determinant at a time, lexicographic subsets."""
+    subsets = list(itertools.combinations(range(g.shape[0]), k))
+    return np.array([[np.linalg.det(g[np.ix_(rows, cols)]) for cols in subsets]
+                     for rows in subsets])
 
 
 class TestMatrixTuple:
@@ -90,6 +98,19 @@ class TestExteriorPower:
         lhs = geo.exterior_power(g @ h, 2)
         rhs = geo.exterior_power(g, 2) @ geo.exterior_power(h, 2)
         assert np.allclose(lhs, rhs, atol=1e-10 * np.abs(rhs).max())
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_stack_matches_per_matrix_calls(self, k):
+        rng = _rng(7)
+        gs = np.array([geo.sample_matrix(rng, 4) for _ in range(6)])
+        stacked = geo.exterior_power(gs.reshape(2, 3, 4, 4), k)
+        per = np.array([_exterior_power_reference(g, k) for g in gs])
+        assert np.array_equal(stacked.reshape(per.shape), per)
+        assert np.array_equal(geo.exterior_power(gs[0], k), per[0])
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(geo.InvalidMatrixError):
+            geo.exterior_power(np.ones((2, 3, 4)), 1)
 
     def test_wedge_vector_matches_action(self):
         rng = _rng(5)

@@ -12,6 +12,83 @@ DIAG = geo.MatrixTuple.from_matrices([np.diag([2.0, 0.5])])
 REFERENCE = ver.reference_tuple()
 
 
+# Per-trial reference implementation: one stream, one frame, one step at a
+# time. The batched _run_trials must reproduce it trial by trial.
+
+def _draw_indices_reference(spec, rng, n):
+    if spec.kind == "iid":
+        return rng.choice(spec.tuple.N, size=n, p=spec.weights).tolist()
+    cum = np.cumsum(spec.transition, axis=1)
+    cum[:, -1] = 1.0
+    state = rng.choice(spec.tuple.N,
+                       p=orc.stationary_distribution(spec.transition))
+    u = rng.random(n)
+    idx = []
+    for t in range(n):
+        state = int(np.searchsorted(cum[state], u[t]))
+        idx.append(state)
+    return idx
+
+
+def _frame_trial_reference(matrices, idx, rng, steps, burnin, n_vectors):
+    d = matrices[0].shape[0]
+    frame = np.linalg.qr(rng.standard_normal((d, n_vectors)))[0]
+    logs = np.zeros(n_vectors)
+    t, total = 0, burnin + steps
+    while t < total:
+        block = min(orc.RENORM_INTERVAL, total - t)
+        if t < burnin:
+            block = min(block, burnin - t)
+        for s in range(block):
+            frame = matrices[idx[t + s]] @ frame
+        t += block
+        q, r = np.linalg.qr(frame)
+        if t > burnin:
+            logs += np.log(np.abs(np.diag(r)))
+        frame = q * np.sign(np.diag(r))
+    return logs / steps
+
+
+def _run_trials_reference(spec, steps, trials, seed, burnin, n_vectors,
+                          matrices):
+    rows = []
+    for trial in range(trials):
+        rng = orc._trial_rng(seed, trial)
+        idx = _draw_indices_reference(spec, rng, burnin + steps)
+        rows.append(_frame_trial_reference(matrices, idx, rng, steps, burnin,
+                                           n_vectors))
+    return np.array(rows)
+
+
+def _d3_tuple():
+    rng = np.random.default_rng(11)
+    return geo.MatrixTuple.from_matrices(
+        [geo.sample_matrix(rng, 3) for _ in range(2)])
+
+
+@pytest.mark.parametrize("case", ["iid_top", "markov_top", "d3_spectrum",
+                                  "partial_sum"])
+def test_batched_trials_match_per_trial_loop(case):
+    if case == "iid_top":
+        spec, n_vectors = orc.CocycleSpec.iid(REFERENCE, (0.5, 0.5)), 1
+        mats = spec.tuple.matrices
+    elif case == "markov_top":
+        spec = orc.CocycleSpec.markov(REFERENCE, [[0.7, 0.3], [0.4, 0.6]])
+        n_vectors, mats = 1, spec.tuple.matrices
+    elif case == "d3_spectrum":
+        spec, n_vectors = orc.CocycleSpec.iid(_d3_tuple(), (0.3, 0.7)), 3
+        mats = spec.tuple.matrices
+    else:
+        spec, n_vectors = orc.CocycleSpec.iid(_d3_tuple(), (0.3, 0.7)), 1
+        mats = [geo.exterior_power(m, 2) for m in spec.tuple.matrices]
+    # burn-in not a multiple of RENORM_INTERVAL, so a short block occurs
+    args = (spec, 1500, 5, 7, 250, n_vectors)
+    got = orc._run_trials(*args, np.array(mats))
+    want = _run_trials_reference(*args, mats)
+    assert got.shape == want.shape == (5, n_vectors)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
 class TestCocycleSpec:
     def test_iid_normalizes_nothing_and_validates(self):
         spec = orc.CocycleSpec.iid(DIAG, [1.0])
@@ -184,8 +261,23 @@ class TestMarkov:
 
         spec = orc.CocycleSpec.markov(REFERENCE,
                                       [[0.5, 0.5 - 9e-13], [0.5, 0.5]])
-        idx = orc._draw_indices(spec, StubRng(), 4)
-        assert idx.tolist() == [1, 1, 1, 1]
+        idx = orc._draw_indices(spec, [StubRng()], 4)
+        assert idx[0].tolist() == [1, 1, 1, 1]
+
+    def test_tied_draw_picks_searchsorted_state(self):
+        # Dyadic rows make the cumulative sums exact, so u can equal one.
+        class StubRng:
+            def choice(self, n, p=None):
+                return 1
+
+            def random(self, n):
+                return np.array([0.25, 0.5, 0.0, 0.5, 0.25, 0.75])[:n]
+
+        P = [[0.5, 0.5], [0.25, 0.75]]
+        spec = orc.CocycleSpec.markov(REFERENCE, P)
+        idx = orc._draw_indices(spec, [StubRng()], 6)
+        assert idx[0].tolist() == _draw_indices_reference(spec, StubRng(), 6)
+        assert idx[0].tolist() == [0, 0, 0, 0, 0, 1]
 
 
 class TestOverflowSafety:
