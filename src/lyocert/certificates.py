@@ -447,7 +447,6 @@ class CertificateReport:
     joint: dict
     chain: dict | None
     boundary: dict | None
-    grassmann: dict  # level k -> record
     input_provenance: dict = field(default_factory=dict)
 
 
@@ -474,7 +473,6 @@ def certify(tuple_: MatrixTuple, p, theta: float, gap: float,
             radius_convention: str = "example", rho_A: float = 0.0,
             chain_gap: float | None = None, c_exponent: float = 1.0,
             c_tau: float | None = None, gamma_tau: float | None = None,
-            grassmann_gaps: dict | None = None,
             provenance: dict | None = None) -> CertificateReport:
     """Assemble the full certificate report for one cocycle."""
     p = np.asarray(p, dtype=float)
@@ -506,14 +504,6 @@ def certify(tuple_: MatrixTuple, p, theta: float, gap: float,
     boundary = None
     if c_tau is not None and gamma_tau is not None:
         boundary = boundary_constants(tuple_, theta, ladder, c_tau, gamma_tau)
-    grass = {}
-    if grassmann_gaps:
-        r_prev = None
-        for k in sorted(grassmann_gaps):
-            rec = grassmann_certificate(tuple_, theta, k, grassmann_gaps[k],
-                                        r_H_previous=r_prev)
-            grass[k] = rec
-            r_prev = rec["r_H"]
 
     if r_star > 0.0 and math.isfinite(M_star):
         cauchy_first = cauchy_bound(M_star, r_star, e1, radius_convention)
@@ -531,6 +521,6 @@ def certify(tuple_: MatrixTuple, p, theta: float, gap: float,
         cauchy_first=cauchy_first,
         cauchy_second=cauchy_second,
         radius_convention=radius_convention,
-        joint=joint, chain=chain, boundary=boundary, grassmann=grass,
+        joint=joint, chain=chain, boundary=boundary,
         input_provenance=provenance or {},
     )

@@ -111,6 +111,12 @@ CONFIG_SCHEMA = {
     },
 }
 
+Z_SCHEMA = {
+    "type": "array", "minItems": 1,
+    "items": {"type": "array", "items": {"type": "number"},
+              "minItems": 2, "maxItems": 2},
+}
+
 MC_DEFAULTS = {"steps": 20_000, "trials": 12, "seed": 0, "burnin": 1000}
 GRID_DEFAULT = 2000
 CONTOUR_DEFAULTS = {"radius": None, "nodes": 32, "order": 6, "direction": None}
@@ -297,11 +303,6 @@ def certificate_to_report(rep: cert.CertificateReport) -> dict:
     if rep.boundary is not None:
         out["boundary"] = {k: leaf(v, ids["boundary"], inputs)
                            for k, v in rep.boundary.items()}
-    if rep.grassmann:
-        out["grassmann"] = {
-            str(k): {kk: leaf(vv, ids["grassmann"], {"k": k})
-                     for kk, vv in rec.items()}
-            for k, rec in rep.grassmann.items()}
     return out
 
 
@@ -362,6 +363,11 @@ def cmd_extend(cfg, args):
     if args.z is None:
         raise ConfigError("extend requires --z as JSON [[re, im], ...]")
     zs = json.loads(args.z)
+    try:
+        jsonschema.validate(zs, Z_SCHEMA)
+    except jsonschema.ValidationError as exc:
+        raise ConfigError(
+            f"--z must be JSON [[re, im], ...]: {exc.message}") from exc
     z = np.array([complex(r, i) for r, i in zs])
     grid = top.build_grid(cfg["grid"]["m"])
     value = top.analytic_extension_value(spec.tuple, z, grid)
@@ -409,6 +415,9 @@ def cmd_scan_boundary(cfg, args):
     if spec.kind != "iid":
         raise ConfigError("scan-boundary requires iid weights")
     b = cfg["boundary"]
+    if b["index"] >= spec.tuple.N:
+        raise ConfigError(f"boundary.index {b['index']} needs an index "
+                          f"below the {spec.tuple.N} weights")
     p0 = np.asarray(spec.weights)
     t_max = b["tMax"] if b["tMax"] is not None else 0.9 * p0[b["index"]]
     out = ver.boundary_scan(

@@ -1,9 +1,11 @@
 """Discretized projective transfer operators for d = 2 cocycles.
 
 Real, complex-weight, twisted, and chain Markov operators on a uniform
-angular grid over the projective line, with leading-eigenpair extraction,
-holomorphic-extension evaluation, contour Taylor coefficients, and the
-Neumann contraction criterion.
+angular grid over the projective line, stored as CSR matrices. One left
+eigensolve per operator gives the isolated leading eigenvalue mu and its
+left functional eta (mass 1), from which the holomorphic extension, the
+chain value and the contour Taylor coefficients are read; the Neumann
+contraction criterion completes the module.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import scipy.sparse.linalg
 from .geometry import MatrixTuple
 
 MODULUS_SHELL = 1e-8
+# Eigenpairs asked of each ARPACK solve: the leading pair and rho2 are read.
+EIG_COUNT = 8
 
 
 class EigenvalueCollisionError(ArithmeticError):
@@ -57,32 +61,6 @@ def build_grid(m: int) -> ProjectiveGrid:
     return ProjectiveGrid(m=m, angles=angles, nodes=nodes)
 
 
-@dataclass(frozen=True)
-class DiscretizedOperator:
-    """Sparse (CSR) matrix of a (possibly complex/twisted) operator."""
-
-    grid: ProjectiveGrid
-    matrix: scipy.sparse.csr_matrix
-    weights: np.ndarray | None  # complex z for iid, None for chain form
-    transition: np.ndarray | None  # chain P, None for iid
-    twist: float
-    n_states: int  # 1 for iid, N for chain block form
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class FunctionalOnGrid:
-    """Left functional eta as node weights, normalized eta(1) = 1."""
-
-    weights: np.ndarray
-
-    def __call__(self, values: np.ndarray) -> complex:
-        return complex(np.dot(self.weights, values))
-
-
 def log_stretch_table(tuple_: MatrixTuple, grid: ProjectiveGrid) -> np.ndarray:
     """phi(A_i, v_j) = log ||A_i v_j|| on the grid, shape (N, m)."""
     out = np.empty((tuple_.N, grid.m))
@@ -113,8 +91,8 @@ def _interpolation_matrix(g: np.ndarray,
 
 
 def assemble_operator(tuple_: MatrixTuple, z, grid: ProjectiveGrid,
-                      twist: float = 0.0) -> DiscretizedOperator:
-    """Weighted (optionally twisted) projective Markov operator.
+                      twist: float = 0.0) -> scipy.sparse.csr_matrix:
+    """Weighted (optionally twisted) projective Markov operator, as CSR.
 
     Row j carries sum_i z_i e^{twist * phi(A_i, v_j)} times the hat weights
     of the image angle of A_i v_j. For real simplex z and twist 0 the result
@@ -128,15 +106,13 @@ def assemble_operator(tuple_: MatrixTuple, z, grid: ProjectiveGrid,
     if abs(z.sum() - 1.0) > 1e-12:
         raise ValueError(f"weights must sum to 1, got {z.sum()}")
     phis = log_stretch_table(tuple_, grid)
-    M = sum(scipy.sparse.diags(z[i] * np.exp(twist * phis[i]))
-            @ _interpolation_matrix(g, grid)
-            for i, g in enumerate(tuple_.matrices)).tocsr()
-    return DiscretizedOperator(grid=grid, matrix=M, weights=z,
-                               transition=None, twist=twist, n_states=1)
+    return sum(scipy.sparse.diags(z[i] * np.exp(twist * phis[i]))
+               @ _interpolation_matrix(g, grid)
+               for i, g in enumerate(tuple_.matrices)).tocsr()
 
 
 def assemble_chain_operator(P, tuple_: MatrixTuple,
-                            grid: ProjectiveGrid) -> DiscretizedOperator:
+                            grid: ProjectiveGrid) -> scipy.sparse.csr_matrix:
     """Block operator of the chain-driven cocycle: block (i,j) = P_ij T_{A_j}."""
     if tuple_.d != 2:
         raise ValueError("operator discretization is implemented for d = 2 only")
@@ -147,34 +123,32 @@ def assemble_chain_operator(P, tuple_: MatrixTuple,
     if np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:
         raise ValueError("transition rows must sum to 1")
     blocks = [_interpolation_matrix(g, grid) for g in tuple_.matrices]
-    M = scipy.sparse.bmat([[P[i, j] * blocks[j] for j in range(N)]
-                           for i in range(N)], format="csr")
-    return DiscretizedOperator(grid=grid, matrix=M, weights=None,
-                               transition=P, twist=0.0, n_states=N)
+    return scipy.sparse.bmat([[P[i, j] * blocks[j] for j in range(N)]
+                              for i in range(N)], format="csr")
 
 
 # ---------------------------------------------------------------------------
 # Eigen extraction.
 
-def _top_eigenvalues(M, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """k largest-modulus eigenpairs (values desc by modulus, right vectors).
+def _top_eigenvalues(M) -> tuple[np.ndarray, np.ndarray]:
+    """EIG_COUNT largest-modulus eigenpairs (values desc by modulus, vectors).
 
     ARPACK on the sparse matrix; the dense LAPACK solve runs only where
-    ARPACK cannot (k >= n - 2) or did not converge, so partial eigenpairs
-    are never used. ARPACK starts from a fixed seeded vector, so repeated
+    ARPACK cannot (EIG_COUNT >= n - 2) or did not converge, so partial
+    eigenpairs are never used. ARPACK starts from a fixed seeded vector, so repeated
     solves give the same bits (its own random start changes per call).
     """
     n = M.shape[0]
-    if k >= n - 2:
+    if EIG_COUNT >= n - 2:
         vals, vecs = scipy.linalg.eig(M.toarray())
     else:
         v0 = np.random.default_rng(0).random(n)
         try:
-            vals, vecs = scipy.sparse.linalg.eigs(M, k=k, which="LM", v0=v0,
-                                                  maxiter=5000, tol=1e-12)
+            vals, vecs = scipy.sparse.linalg.eigs(
+                M, k=EIG_COUNT, which="LM", v0=v0, maxiter=5000, tol=1e-12)
         except scipy.sparse.linalg.ArpackNoConvergence:
             vals, vecs = scipy.linalg.eig(M.toarray())
-    order = np.argsort(-np.abs(vals))[:k]
+    order = np.argsort(-np.abs(vals))[:EIG_COUNT]
     return vals[order], vecs[:, order]
 
 
@@ -191,39 +165,25 @@ def _select_leading(vals: np.ndarray) -> int:
     return int(best)
 
 
-def leading_eigenpair(op: DiscretizedOperator, k: int = 8):
-    """(mu, right vector, left FunctionalOnGrid) of the assembled operator.
+def leading_eigenpair(M) -> tuple[complex, np.ndarray]:
+    """(mu, eta): the leading eigenvalue and its left eigenvector of M.
 
-    The right vector has unit sup-norm; the left functional is normalized so
-    that it maps the constant 1-vector to 1. Raises EigenvalueCollisionError
+    One solve on M^T, whose spectrum is M's. eta is normalized to mass 1,
+    so it maps the constant 1-vector to 1. Raises EigenvalueCollisionError
     when two distinct eigenvalues share the maximal modulus.
     """
-    M = op.matrix
-    vals, vecs = _top_eigenvalues(M, k)
+    vals, vecs = _top_eigenvalues(M.T)
     idx = _select_leading(vals)
-    mu = complex(vals[idx])
-    right = vecs[:, idx]
-    peak = np.argmax(np.abs(right))
-    right = right / right[peak]
-
-    lvals, lvecs = _top_eigenvalues(M.T, k)
-    lidx = int(np.argmin(np.abs(lvals - mu)))
-    if abs(lvals[lidx] - mu) > 1e-6 * max(1.0, abs(mu)):
-        raise ResolventSolveError(
-            f"left solve found no eigenvalue matching mu = {mu}")
-    left = lvecs[:, lidx]
+    left = vecs[:, idx]
     mass = left.sum()
     if abs(mass) < 1e-14:
         raise ResolventSolveError("left eigenvector has vanishing total mass")
-    eta = left / mass
-    if op.weights is not None and np.all(np.abs(np.asarray(op.weights).imag) == 0.0):
-        eta = eta.real + 0j
-    return mu, right, FunctionalOnGrid(weights=eta)
+    return complex(vals[idx]), left / mass
 
 
-def spectral_gap_measured(op: DiscretizedOperator, k: int = 8) -> tuple[float, float]:
+def spectral_gap_measured(M) -> tuple[float, float]:
     """(second-largest eigenvalue modulus rho2, gap 1 - rho2)."""
-    vals, _ = _top_eigenvalues(op.matrix, k)
+    vals, _ = _top_eigenvalues(M)
     mods = np.sort(np.abs(vals))[::-1]
     rho2 = float(mods[1]) if len(mods) > 1 else 0.0
     return rho2, 1.0 - rho2
@@ -232,15 +192,18 @@ def spectral_gap_measured(op: DiscretizedOperator, k: int = 8) -> tuple[float, f
 # ---------------------------------------------------------------------------
 # Holomorphic extension values.
 
-def analytic_extension_value(tuple_: MatrixTuple, z, grid: ProjectiveGrid,
-                             phis: np.ndarray | None = None) -> complex:
-    """lambda~_+(z) = sum_i z_i eta_z(phi(A_i, .)) on the grid."""
-    op = assemble_operator(tuple_, z, grid)
-    _, _, eta = leading_eigenpair(op)
-    if phis is None:
-        phis = log_stretch_table(tuple_, grid)
+def analytic_extension_value(tuple_: MatrixTuple, z,
+                             grid: ProjectiveGrid) -> complex:
+    """lambda~_+(z) = sum_i z_i eta_z(phi(A_i, .)) on the grid.
+
+    At real weights eta is the stationary measure, so its rounding-level
+    imaginary part is dropped.
+    """
+    _, eta = leading_eigenpair(assemble_operator(tuple_, z, grid))
     z = np.asarray(z, dtype=complex)
-    return complex(np.dot(z, phis @ eta.weights))
+    if np.all(z.imag == 0.0):
+        eta = eta.real + 0j
+    return complex(np.dot(z, log_stretch_table(tuple_, grid) @ eta))
 
 
 def lyapunov_via_log_deriv(tuple_: MatrixTuple, p, grid: ProjectiveGrid,
@@ -251,8 +214,8 @@ def lyapunov_via_log_deriv(tuple_: MatrixTuple, p, grid: ProjectiveGrid,
     """
     if not 0.0 < h <= 0.1:
         raise ValueError("twist step h must lie in (0, 0.1]")
-    mu_plus, _, _ = leading_eigenpair(assemble_operator(tuple_, p, grid, twist=h))
-    mu_minus, _, _ = leading_eigenpair(assemble_operator(tuple_, p, grid, twist=-h))
+    mu_plus, _ = leading_eigenpair(assemble_operator(tuple_, p, grid, twist=h))
+    mu_minus, _ = leading_eigenpair(assemble_operator(tuple_, p, grid, twist=-h))
     return float((np.log(mu_plus) - np.log(mu_minus)).real / (2.0 * h))
 
 
@@ -262,14 +225,13 @@ def chain_extension_value(P, tuple_: MatrixTuple, grid: ProjectiveGrid) -> compl
     Uses the leading left functional eta of the block operator, normalized to
     total mass 1; the value is sum_{i,j} P_ij eta_i(phi(A_j, .)).
     """
-    op = assemble_chain_operator(P, tuple_, grid)
-    _, _, eta = leading_eigenpair(op)
+    _, eta = leading_eigenpair(assemble_chain_operator(P, tuple_, grid))
     m = grid.m
     P = np.asarray(P, dtype=complex)
     phis = log_stretch_table(tuple_, grid)
     val = 0.0 + 0.0j
     for i in range(tuple_.N):
-        eta_i = eta.weights[i * m:(i + 1) * m]
+        eta_i = eta[i * m:(i + 1) * m]
         for j in range(tuple_.N):
             val += P[i, j] * np.dot(eta_i, phis[j])
     return complex(val)
@@ -297,11 +259,10 @@ def taylor_coefficients(tuple_: MatrixTuple, p0, direction, order: int,
     if contour_radius <= 0.0:
         raise ValueError("contour radius must be positive")
     thetas = 2.0 * math.pi * np.arange(nodes) / nodes
-    phis = log_stretch_table(tuple_, grid)
 
     def _eval(theta):
         z = p0 + contour_radius * np.exp(1j * theta) * u
-        return analytic_extension_value(tuple_, z, grid, phis)
+        return analytic_extension_value(tuple_, z, grid)
 
     try:
         values = np.array([_eval(t) for t in thetas], dtype=complex)
@@ -352,8 +313,8 @@ def neumann_criterion_check(tuple_: MatrixTuple, p0, z, grid: ProjectiveGrid,
     zeta runs over contour_nodes points on |zeta - 1| = rho_star; the value
     reports the Neumann-series contraction factor of the perturbed resolvent.
     """
-    M0 = assemble_operator(tuple_, p0, grid).matrix.toarray()
-    Dz = assemble_operator(tuple_, z, grid).matrix.toarray() - M0
+    M0 = assemble_operator(tuple_, p0, grid).toarray()
+    Dz = assemble_operator(tuple_, z, grid).toarray() - M0
     m = grid.m
     worst = 0.0
     for q in range(contour_nodes):

@@ -84,13 +84,13 @@ def test_criterion_2_oracle_sanity():
 def test_criterion_3_operator_structure():
     problems = []
     grid = op.build_grid(2000)
-    disc = op.assemble_operator(REFERENCE, P0, grid)
-    row_sums = disc.matrix.sum(axis=1)
+    M = op.assemble_operator(REFERENCE, P0, grid)
+    row_sums = M.sum(axis=1)
     row_err = float(np.max(np.abs(row_sums - 1.0)))
     if row_err > 1e-12:
         problems.append(f"row-stochastic defect {row_err}")
 
-    mu, _, _ = op.leading_eigenpair(disc)
+    mu, _ = op.leading_eigenpair(M)
     if abs(mu - 1.0) > 1e-10:
         problems.append(f"mu(p0) = {mu}")
 

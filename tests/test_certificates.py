@@ -266,11 +266,9 @@ class TestCertify:
 
     def test_chain_and_boundary_blocks(self):
         report = cert.certify(REFERENCE, (0.5, 0.5), THETA, GAP,
-                              chain_gap=0.7, c_tau=1.0, gamma_tau=1.0,
-                              grassmann_gaps={1: 0.9})
+                              chain_gap=0.7, c_tau=1.0, gamma_tau=1.0)
         assert report.chain is not None and report.chain["r_star_P"] > 0.0
         assert report.boundary is not None
-        assert 1 in report.grassmann
 
     def test_rejects_mismatched_weights(self):
         with pytest.raises(ValueError):

@@ -159,6 +159,24 @@ class TestOtherCommands:
         code, _ = run_json(["extend", "--z", z], tmp_path)
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("z", ["[1, 2]", '[["a", 0], [0.5, 0]]',
+                                   "[[0.5, null], [0.5, 0]]",
+                                   "[[0.5, 0, 0], [0.5, 0]]", "[]"])
+    def test_extend_rejects_malformed_z(self, z, capsys):
+        assert run(["extend", "--z", z]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: --z must be")
+
+    def test_scan_boundary_rejects_index_past_last_weight(
+            self, tmp_path, reference_cfg, capsys):
+        for b in ({"index": 2}, {"index": 2, "tMax": 0.1}):
+            cfg = copy.deepcopy(reference_cfg)
+            cfg["boundary"] = b
+            path = tmp_path / "boundary.json"
+            path.write_text(json.dumps(cfg))
+            assert run(["scan-boundary", "--config",
+                        str(path)]) == cli.EXIT_CONFIG
+            assert "boundary.index 2" in capsys.readouterr().err
+
     def test_taylor(self, tmp_path):
         code, report = run_json(["taylor", "--grid-m", "100"], tmp_path)
         assert code == cli.EXIT_OK

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_array
 
 import lyocert.geometry as geo
@@ -22,6 +24,36 @@ def _rotation(psi):
     return np.array([[c, -s], [s, c]])
 
 
+@st.composite
+def hyperbolic_pairs(draw):
+    """Two matrices R_psi diag(a, 1/a) R_psi^T, a in [1.5, 4]. Each fixes
+    the lines at psi and psi + pi/2; the two psi differ by at least 0.4 rad
+    modulo pi/2, so the pair has no common invariant line."""
+    psi = draw(st.floats(0.0, math.pi))
+    delta = draw(st.floats(0.4, math.pi / 2 - 0.4))
+    delta += draw(st.sampled_from([0.0, math.pi / 2]))
+    mats = []
+    for angle in (psi, psi + delta):
+        a = draw(st.floats(1.5, 4.0))
+        R = _rotation(angle)
+        mats.append(R @ np.diag([a, 1.0 / a]) @ R.T)
+    return geo.MatrixTuple.from_matrices(mats)
+
+
+real_weights = st.floats(0.2, 0.8).map(lambda p: np.array([p, 1.0 - p]))
+small_grids = st.integers(16, 64)
+
+
+@st.composite
+def complex_weights(draw):
+    """p + t e^{i alpha} (1, -1): a point of the complex weight hyperplane
+    within t <= 1e-2 of the real simplex."""
+    p = draw(real_weights)
+    t = draw(st.floats(1e-4, 1e-2))
+    alpha = draw(st.floats(0.0, 2.0 * math.pi))
+    return p + t * np.exp(1j * alpha) * np.array([1.0, -1.0])
+
+
 class TestGrid:
     def test_nodes_and_spacing(self):
         g = op.build_grid(10)
@@ -36,8 +68,7 @@ class TestGrid:
 
 class TestAssembly:
     def test_real_weights_give_row_stochastic_matrix(self):
-        disc = op.assemble_operator(REFERENCE, P0, GRID)
-        M = disc.matrix.toarray()
+        M = op.assemble_operator(REFERENCE, P0, GRID).toarray()
         assert np.max(np.abs(M.sum(axis=1) - 1.0)) < 1e-12
         assert np.all(M.real >= -1e-15)
 
@@ -47,8 +78,7 @@ class TestAssembly:
         m = 20
         g = op.build_grid(m)
         T = geo.MatrixTuple.from_matrices([_rotation(math.pi / m)])
-        disc = op.assemble_operator(T, [1.0], g)
-        M = disc.matrix.toarray().real
+        M = op.assemble_operator(T, [1.0], g).toarray().real
         assert np.allclose(np.sort(M, axis=1)[:, -1], 1.0, atol=1e-12)
         assert np.allclose(M.sum(axis=0), 1.0, atol=1e-12)
 
@@ -65,10 +95,9 @@ class TestAssembly:
 
     def test_chain_operator_block_structure(self):
         P = [[0.7, 0.3], [0.4, 0.6]]
-        disc = op.assemble_chain_operator(P, REFERENCE, GRID)
-        assert disc.size == 2 * GRID.m
-        assert disc.n_states == 2
-        assert np.max(np.abs(disc.matrix.sum(axis=1) - 1.0)) < 1e-10
+        M = op.assemble_chain_operator(P, REFERENCE, GRID)
+        assert M.shape == (2 * GRID.m, 2 * GRID.m)
+        assert np.max(np.abs(M.sum(axis=1) - 1.0)) < 1e-10
 
     def test_chain_rejects_bad_transition(self):
         with pytest.raises(ValueError):
@@ -78,40 +107,31 @@ class TestAssembly:
 
 class TestEigenExtraction:
     def test_leading_eigenvalue_is_one_for_stochastic(self):
-        disc = op.assemble_operator(REFERENCE, P0, GRID)
-        mu, right, eta = op.leading_eigenpair(disc)
+        M = op.assemble_operator(REFERENCE, P0, GRID)
+        mu, eta = op.leading_eigenpair(M)
         assert abs(mu - 1.0) < 1e-10
-        assert np.max(np.abs(right)) == pytest.approx(1.0)
-        assert complex(np.sum(eta.weights)) == pytest.approx(1.0)
+        assert complex(np.sum(eta)) == pytest.approx(1.0)
         # eta is the stationary functional: eta(M v) = eta(v).
         v = np.cos(3 * GRID.angles)
-        assert eta(disc.matrix @ v) == pytest.approx(eta(v), abs=1e-9)
+        assert np.dot(eta, M @ v) == pytest.approx(np.dot(eta, v), abs=1e-9)
 
     def test_single_rotation_has_uniform_functional(self):
         # An irrational rotation is uniquely ergodic: eta is uniform.
         T = geo.MatrixTuple.from_matrices([_rotation(1.0)])
-        disc = op.assemble_operator(T, [1.0], op.build_grid(64))
-        _, _, eta = op.leading_eigenpair(disc)
-        assert np.allclose(eta.weights.real, 1.0 / 64, atol=1e-8)
+        M = op.assemble_operator(T, [1.0], op.build_grid(64))
+        _, eta = op.leading_eigenpair(M)
+        assert np.allclose(eta.real, 1.0 / 64, atol=1e-8)
 
     def test_collision_detected_on_engineered_spectrum(self):
         # Two distinct eigenvalues of equal modulus on the leading shell.
         D = np.diag([1.0, -1.0, 0.5, 0.25]).astype(complex)
-        disc = op.DiscretizedOperator(grid=op.build_grid(8),
-                                      matrix=csr_array(D),
-                                      weights=None, transition=None,
-                                      twist=0.0, n_states=1)
         with pytest.raises(op.EigenvalueCollisionError):
-            op.leading_eigenpair(disc, k=4)
+            op.leading_eigenpair(csr_array(D))
 
     def test_no_collision_for_conjugate_subleading_pair(self):
         # A complex-conjugate pair strictly inside the unit disc is fine.
         D = np.diag([1.0, 0.5 + 0.5j, 0.5 - 0.5j]).astype(complex)
-        disc = op.DiscretizedOperator(grid=op.build_grid(8),
-                                      matrix=csr_array(D),
-                                      weights=None, transition=None,
-                                      twist=0.0, n_states=1)
-        mu, _, _ = op.leading_eigenpair(disc, k=3)
+        mu, _ = op.leading_eigenpair(csr_array(D))
         assert mu == pytest.approx(1.0)
 
     def test_sparse_solve_matches_dense(self, monkeypatch):
@@ -122,9 +142,9 @@ class TestEigenExtraction:
         P = [[0.7, 0.3], [0.4, 0.6]]
 
         def values():
-            disc = op.assemble_operator(REFERENCE, P0, grid)
-            return [op.leading_eigenpair(disc)[0],
-                    op.spectral_gap_measured(disc)[0],
+            M = op.assemble_operator(REFERENCE, P0, grid)
+            return [op.leading_eigenpair(M)[0],
+                    op.spectral_gap_measured(M)[0],
                     op.analytic_extension_value(REFERENCE, P0, grid),
                     op.analytic_extension_value(REFERENCE, z, grid),
                     op.chain_extension_value(P, REFERENCE, grid)]
@@ -134,14 +154,14 @@ class TestEigenExtraction:
         monkeypatch.setattr(scipy.sparse.linalg, "eigs",
                             lambda *a, **kw: calls.append(1) or eigs(*a, **kw))
         sparse = values()
-        # Two solves per eigenpair and one for rho2; a repeat gives the
-        # same bits, since ARPACK starts from a fixed vector.
+        # One solve per value; a repeat gives the same bits, since ARPACK
+        # starts from a fixed vector.
         assert values() == sparse
-        assert len(calls) == 18
+        assert len(calls) == 10
 
-        def dense_top(M, k):
+        def dense_top(M):
             vals, vecs = scipy.linalg.eig(M.toarray())
-            order = np.argsort(-np.abs(vals))[:k]
+            order = np.argsort(-np.abs(vals))[:op.EIG_COUNT]
             return vals[order], vecs[:, order]
 
         monkeypatch.setattr(op, "_top_eigenvalues", dense_top)
@@ -149,8 +169,8 @@ class TestEigenExtraction:
         assert np.max(np.abs(np.subtract(sparse, dense))) <= 1e-12
 
     def test_arpack_no_convergence_falls_back_to_dense(self, monkeypatch):
-        disc = op.assemble_operator(REFERENCE, P0, op.build_grid(60))
-        vals = scipy.linalg.eigvals(disc.matrix.toarray())
+        M = op.assemble_operator(REFERENCE, P0, op.build_grid(60))
+        vals = scipy.linalg.eigvals(M.toarray())
         rho2_dense = np.sort(np.abs(vals))[-2]
 
         calls = []
@@ -163,7 +183,7 @@ class TestEigenExtraction:
                 np.ones((A.shape[0], 2), dtype=complex))
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
-        rho2, _ = op.spectral_gap_measured(disc)
+        rho2, _ = op.spectral_gap_measured(M)
         assert rho2 == pytest.approx(rho2_dense, abs=1e-12)
         assert calls == [8]
         assert abs(rho2 - 0.9) > 0.1
@@ -171,10 +191,44 @@ class TestEigenExtraction:
     def test_measured_gap_reference(self):
         # Grid divisible by 3 aligns with the pi/3 conjugating rotation:
         # rho2 = p_max exactly.
-        disc = op.assemble_operator(REFERENCE, P0, op.build_grid(300))
-        rho2, gap = op.spectral_gap_measured(disc)
+        M = op.assemble_operator(REFERENCE, P0, op.build_grid(300))
+        rho2, gap = op.spectral_gap_measured(M)
         assert rho2 == pytest.approx(0.5, abs=1e-8)
         assert gap == pytest.approx(0.5, abs=1e-8)
+
+
+class TestRandomHyperbolicPairs:
+    @settings(max_examples=25, deadline=None)
+    @given(hyperbolic_pairs(), real_weights, small_grids)
+    def test_real_weights_give_stochastic_operator_with_mu_one(self, T, p,
+                                                                m):
+        M = op.assemble_operator(T, p, op.build_grid(m))
+        assert np.max(np.abs(M.sum(axis=1) - 1.0)) < 1e-12
+        assert M.toarray().real.min() >= 0.0
+        mu, eta = op.leading_eigenpair(M)
+        assert abs(mu - 1.0) < 1e-12
+        assert complex(eta.sum()) == pytest.approx(1.0, abs=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(hyperbolic_pairs(), complex_weights(), small_grids)
+    def test_extension_commutes_with_conjugation(self, T, z, m):
+        grid = op.build_grid(m)
+        val = op.analytic_extension_value(T, z, grid)
+        val_conj = op.analytic_extension_value(T, z.conj(), grid)
+        assert abs(val_conj - val.conjugate()) <= 1e-12 * max(1.0, abs(val))
+
+    @settings(max_examples=25, deadline=None)
+    @given(hyperbolic_pairs(), st.one_of(real_weights, complex_weights()),
+           small_grids)
+    def test_left_solve_matches_dense_eig_of_transpose(self, T, z, m):
+        M = op.assemble_operator(T, z, op.build_grid(m))
+        mu, eta = op.leading_eigenpair(M)
+        vals, vecs = scipy.linalg.eig(M.T.toarray())
+        j = np.argmin(np.abs(vals - mu))
+        assert abs(np.abs(vals).max() - abs(vals[j])) <= 1e-12
+        eta_dense = vecs[:, j] / vecs[:, j].sum()
+        assert abs(mu - vals[j]) <= 1e-12
+        assert np.max(np.abs(eta - eta_dense)) <= 1e-12
 
 
 class TestExtensionValues:
