@@ -117,6 +117,13 @@ Z_SCHEMA = {
               "minItems": 2, "maxItems": 2},
 }
 
+# Validators built once: jsonschema.validate re-checks the constant schema
+# against the 2020-12 metaschema on every call, which cost most of a config
+# load. tests/test_cli.py checks both schemas against the metaschema.
+# best_match(iter_errors(x)) is the error that validate would raise.
+CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+Z_VALIDATOR = jsonschema.Draft202012Validator(Z_SCHEMA)
+
 MC_DEFAULTS = {"steps": 20_000, "trials": 12, "seed": 0, "burnin": 1000}
 GRID_DEFAULT = 2000
 CONTOUR_DEFAULTS = {"radius": None, "nodes": 32, "order": 6, "direction": None}
@@ -146,9 +153,8 @@ def load_config(path: str | None) -> dict:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    exc = jsonschema.exceptions.best_match(CONFIG_VALIDATOR.iter_errors(raw))
+    if exc is not None:
         raise ConfigError(
             f"config invalid at {exc.json_path}: {exc.message}") from exc
     d = raw["dimension"]
@@ -363,9 +369,8 @@ def cmd_extend(cfg, args):
     if args.z is None:
         raise ConfigError("extend requires --z as JSON [[re, im], ...]")
     zs = json.loads(args.z)
-    try:
-        jsonschema.validate(zs, Z_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    exc = jsonschema.exceptions.best_match(Z_VALIDATOR.iter_errors(zs))
+    if exc is not None:
         raise ConfigError(
             f"--z must be JSON [[re, im], ...]: {exc.message}") from exc
     z = np.array([complex(r, i) for r, i in zs])
@@ -575,7 +580,7 @@ def main(argv=None) -> int:
             cfg["grid"]["m"] = args.grid_m
         code, report, csv_rows = COMMANDS[args.command](cfg, args)
     except (ConfigError, GapNotSimpleError, InvalidMatrixError,
-            jsonschema.ValidationError, ValueError) as exc:
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (top.EigenvalueCollisionError, top.ContourTooLargeError,

@@ -28,17 +28,6 @@ def singular_values(g) -> np.ndarray:
     return np.linalg.svd(_as_matrix(g), compute_uv=False)
 
 
-def operator_norm(g) -> float:
-    return float(singular_values(g)[0])
-
-
-def inverse_norm(g) -> float:
-    s = singular_values(g)
-    if s[-1] <= 0.0 or not np.isfinite(s[-1]):
-        raise InvalidMatrixError("matrix is singular")
-    return float(1.0 / s[-1])
-
-
 def eccentricity(g) -> float:
     """Condition number sigma_1/sigma_d in the spectral norm (>= 1)."""
     s = singular_values(g)

@@ -21,12 +21,14 @@ import scipy.sparse.linalg
 from .geometry import MatrixTuple
 
 MODULUS_SHELL = 1e-8
-# Eigenpairs asked of each ARPACK solve: the leading pair and rho2 are read.
-EIG_COUNT = 8
+# Eigenpairs asked of each ARPACK solve: callers read the leading pair, and
+# the second modulus gives rho2 and shows that the leading eigenvalue is
+# simple. Each implicit restart costs more the more pairs are wanted.
+EIG_COUNT = 2
 
 
 class EigenvalueCollisionError(ArithmeticError):
-    """Two distinct eigenvalues share the maximal modulus: isolation lost."""
+    """A second eigenvalue shares the maximal modulus: isolation lost."""
 
 
 class ContourTooLargeError(ArithmeticError):
@@ -152,17 +154,18 @@ def _top_eigenvalues(M) -> tuple[np.ndarray, np.ndarray]:
     return vals[order], vecs[:, order]
 
 
-def _select_leading(vals: np.ndarray) -> int:
-    """Index of the maximal-modulus eigenvalue closest to 1; collision on ties."""
+def _require_simple(vals: np.ndarray) -> None:
+    """Raise unless the leading eigenvalue is simple.
+
+    vals are sorted by descending modulus. A second eigenvalue within
+    MODULUS_SHELL of the maximal modulus collides with the first, whether
+    the two are distinct or a repeated root.
+    """
     mods = np.abs(vals)
-    shell = np.flatnonzero(mods >= mods.max() - MODULUS_SHELL)
-    best = shell[np.argmin(np.abs(vals[shell] - 1.0))]
-    for idx in shell:
-        if idx != best and abs(vals[idx] - vals[best]) > MODULUS_SHELL:
-            raise EigenvalueCollisionError(
-                f"maximal-modulus eigenvalues {vals[best]} and {vals[idx]} "
-                "collide: leading eigenvalue is not isolated")
-    return int(best)
+    if len(vals) > 1 and mods[1] >= mods[0] - MODULUS_SHELL:
+        raise EigenvalueCollisionError(
+            f"maximal-modulus eigenvalues {vals[0]} and {vals[1]} "
+            "collide: leading eigenvalue is not simple")
 
 
 def leading_eigenpair(M) -> tuple[complex, np.ndarray]:
@@ -170,15 +173,15 @@ def leading_eigenpair(M) -> tuple[complex, np.ndarray]:
 
     One solve on M^T, whose spectrum is M's. eta is normalized to mass 1,
     so it maps the constant 1-vector to 1. Raises EigenvalueCollisionError
-    when two distinct eigenvalues share the maximal modulus.
+    unless the leading eigenvalue is simple.
     """
     vals, vecs = _top_eigenvalues(M.T)
-    idx = _select_leading(vals)
-    left = vecs[:, idx]
+    _require_simple(vals)
+    left = vecs[:, 0]
     mass = left.sum()
     if abs(mass) < 1e-14:
         raise ResolventSolveError("left eigenvector has vanishing total mass")
-    return complex(vals[idx]), left / mass
+    return complex(vals[0]), left / mass
 
 
 def spectral_gap_measured(M) -> tuple[float, float]:

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -43,7 +44,65 @@ def chain_cfg_path(tmp_path, reference_cfg):
     return str(path)
 
 
+def _set(path, value):
+    """Config edit that sets the entry at path (keys and indices)."""
+    def edit(cfg):
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return cfg
+    return edit
+
+
+MALFORMED_CONFIGS = {
+    "unknown-key": _set(["surprise"], 1),
+    "missing-theta": lambda cfg: {k: v for k, v in cfg.items()
+                                  if k != "theta"},
+    "weights-and-transition": _set(["transition"], [[0.5, 0.5], [0.5, 0.5]]),
+    "theta-zero": _set(["theta"], 0),
+    "grid-m-4": _set(["grid", "m"], 4),
+    "mc-steps-string": _set(["mc", "steps"], "x"),
+    "matrix-entry-string": _set(["matrices", 0, 1, 0], "a"),
+    "bad-enum-flag": _set(["flags", "tau0Variant"], "median"),
+    "non-object": lambda cfg: [cfg],
+}
+
+
 class TestConfigLoading:
+    @pytest.mark.parametrize("schema", [cli.CONFIG_SCHEMA, cli.Z_SCHEMA],
+                             ids=["config", "z"])
+    def test_schema_is_valid_draft_2020_12(self, schema):
+        # The validators are built once, so the metaschema check is here.
+        jsonschema.Draft202012Validator.check_schema(schema)
+        assert (jsonschema.validators.validator_for(schema)
+                is jsonschema.Draft202012Validator)
+
+    @pytest.mark.parametrize("edit", MALFORMED_CONFIGS.values(),
+                             ids=MALFORMED_CONFIGS.keys())
+    def test_malformed_config_reports_jsonschema_error(self, edit, tmp_path,
+                                                       reference_cfg):
+        raw = edit(copy.deepcopy(reference_cfg))
+        with pytest.raises(jsonschema.ValidationError) as want:
+            jsonschema.validate(raw, cli.CONFIG_SCHEMA)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(cli.ConfigError) as got:
+            cli.load_config(str(path))
+        assert str(got.value) == (f"config invalid at {want.value.json_path}"
+                                  f": {want.value.message}")
+
+    def test_validation_does_not_recheck_schemas(self, monkeypatch,
+                                                 tmp_path):
+        def recheck(cls, schema):
+            raise AssertionError("schema re-checked against the metaschema")
+
+        monkeypatch.setattr(jsonschema.Draft202012Validator, "check_schema",
+                            classmethod(recheck))
+        assert cli.load_config(None)["theta"] == 0.5
+        assert run(["extend", "--z", "[[0.5, 0], [0.5, 0]]", "--grid-m",
+                    "60", "--out", str(tmp_path / "z.json")]) == cli.EXIT_OK
+
     def test_default_is_packaged_reference(self, reference_cfg):
         assert reference_cfg["dimension"] == 2
         assert reference_cfg["theta"] == 0.5

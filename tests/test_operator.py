@@ -128,6 +128,51 @@ class TestEigenExtraction:
         with pytest.raises(op.EigenvalueCollisionError):
             op.leading_eigenpair(csr_array(D))
 
+    def test_repeated_leading_eigenvalue_is_a_collision(self):
+        # Equal values on the leading shell: the eigenvalue is not simple.
+        D = np.diag([1.0, 1.0, 0.5, 0.25]).astype(complex)
+        with pytest.raises(op.EigenvalueCollisionError, match="not simple"):
+            op.leading_eigenpair(csr_array(D))
+
+    @pytest.mark.parametrize("m, simple", [(200, False), (601, True)])
+    def test_diagonal_pair_is_simple_only_on_odd_grids(self, m, simple,
+                                                       monkeypatch):
+        # diag(8, 1/8) and diag(4, 1/4) fix the angles 0 and pi/2. On an
+        # even grid both are nodes, and each carries a stationary measure.
+        T = geo.MatrixTuple.from_matrices([np.diag([8.0, 0.125]),
+                                           np.diag([4.0, 0.25])])
+        M = op.assemble_operator(T, P0, op.build_grid(m))
+        calls = []
+        eigs = scipy.sparse.linalg.eigs
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs",
+                            lambda *a, **kw: calls.append(1) or eigs(*a, **kw))
+        if simple:
+            mu, _ = op.leading_eigenpair(M)
+            assert abs(mu - 1.0) < 1e-12
+        else:
+            with pytest.raises(op.EigenvalueCollisionError):
+                op.leading_eigenpair(M)
+        assert calls == [1]
+
+    @pytest.mark.parametrize("z", [np.array(P0, dtype=complex),
+                                   np.array(P0) + 0.1j * np.array([1, -1])])
+    def test_leading_solve_matvec_budget(self, z, monkeypatch):
+        # ARPACK takes 107-124 matvecs here for EIG_COUNT = 2 eigenpairs and
+        # 445-623 for 8; the budget separates the two.
+        matvecs = []
+        eigs = scipy.sparse.linalg.eigs
+
+        def counting_eigs(A, *args, **kwargs):
+            counted = scipy.sparse.linalg.LinearOperator(
+                A.shape, matvec=lambda x: matvecs.append(1) or A @ x,
+                dtype=A.dtype)
+            return eigs(counted, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", counting_eigs)
+        M = op.assemble_operator(REFERENCE, z, op.build_grid(2000))
+        op.leading_eigenpair(M)
+        assert 0 < len(matvecs) <= 250
+
     def test_no_collision_for_conjugate_subleading_pair(self):
         # A complex-conjugate pair strictly inside the unit disc is fine.
         D = np.diag([1.0, 0.5 + 0.5j, 0.5 - 0.5j]).astype(complex)
@@ -185,7 +230,7 @@ class TestEigenExtraction:
         monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
         rho2, _ = op.spectral_gap_measured(M)
         assert rho2 == pytest.approx(rho2_dense, abs=1e-12)
-        assert calls == [8]
+        assert calls == [op.EIG_COUNT]
         assert abs(rho2 - 0.9) > 0.1
 
     def test_measured_gap_reference(self):
