@@ -450,24 +450,6 @@ class CertificateReport:
     input_provenance: dict = field(default_factory=dict)
 
 
-FORMULA_IDS = {
-    "n0": "simplicity-threshold-ceil",
-    "tau0": "oscillation-rate",
-    "NTheta": "holder-iteration-count",
-    "tauStar": "composite-gap",
-    "rhoStar": "isolating-radius",
-    "KStar": "resolvent-bound-explicit",
-    "KStarSp": "resolvent-bound-spectral-radius",
-    "rStar": "kato-polydisc-radius",
-    "MStar": "sup-bound",
-    "cauchy": "cauchy-coefficient-bound",
-    "joint": "joint-polydisc-radii",
-    "chain": "chain-polydisc-radii",
-    "boundary": "boundary-decay-constants",
-    "grassmann": "grassmann-level-k-certificate",
-}
-
-
 def certify(tuple_: MatrixTuple, p, theta: float, gap: float,
             variant: str = "pessimistic", rigorous: bool = False,
             radius_convention: str = "example", rho_A: float = 0.0,

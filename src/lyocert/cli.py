@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import sys
+import time
 from importlib import resources
 
 import jsonschema
@@ -124,6 +125,8 @@ Z_SCHEMA = {
 CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 Z_VALIDATOR = jsonschema.Draft202012Validator(Z_SCHEMA)
 
+# Every key the "mc" schema allows: cfg["mc"] holds exactly these four, so it
+# passes to the Monte Carlo estimators as keyword arguments.
 MC_DEFAULTS = {"steps": 20_000, "trials": 12, "seed": 0, "burnin": 1000}
 GRID_DEFAULT = 2000
 CONTOUR_DEFAULTS = {"radius": None, "nodes": 32, "order": 6, "direction": None}
@@ -190,10 +193,9 @@ def resolve_gap(cfg: dict, spec: CocycleSpec) -> tuple[float, dict]:
     """Config gap override or a seeded Monte Carlo estimate."""
     if cfg["gap"] is not None:
         return float(cfg["gap"]), {"source": "config-override"}
-    mc = cfg["mc"]
-    gap, se = lyapunov_gap(spec, steps=mc["steps"], trials=mc["trials"],
-                           seed=mc["seed"], burnin=mc["burnin"])
-    return gap, {"source": "monte-carlo", "stderr": se, "seed": mc["seed"]}
+    gap, se = lyapunov_gap(spec, **cfg["mc"])
+    return gap, {"source": "monte-carlo", "stderr": se,
+                 "seed": cfg["mc"]["seed"]}
 
 
 # ---------------------------------------------------------------------------
@@ -269,46 +271,62 @@ def _write_out(text: str, out_path: str | None) -> None:
 # ---------------------------------------------------------------------------
 # Report builders.
 
+# Formula-tagged leaves: report key -> (source attribute, formula id). A
+# "ladder." attribute is read from CertificateReport.ladder, any other from
+# the CertificateReport itself, and a mapping value (joint, chain, boundary)
+# gives one leaf per entry; None is skipped. Rows without an attribute tag
+# leaves that other reports build.
+REPORT_LEAVES = {
+    "n0": ("ladder.n0", "simplicity-threshold-ceil"),
+    "tau0": ("ladder.tau0", "oscillation-rate"),
+    "C2": ("ladder.C2", "holder-growth-constant"),
+    "NTheta": ("ladder.N_theta", "holder-iteration-count"),
+    "tauStar": ("ladder.tau_star", "composite-gap"),
+    "rhoStar": ("ladder.rho_star", "isolating-radius"),
+    "RNormBound": ("ladder.R_norm_bound", "iterated-operator-norm"),
+    "KStar": ("K_star", "resolvent-bound-explicit"),
+    "KStarSp": ("K_star_sp", "resolvent-bound-spectral-radius"),
+    "rStar": ("r_star", "kato-polydisc-radius"),
+    "rExtension": ("r_extension", "extension-radius-half"),
+    "MStar": ("M_star", "sup-bound"),
+    # both Cauchy orders come from one formula
+    **{key: (attr, "cauchy-coefficient-bound")
+       for key, attr in (("cauchyFirst", "cauchy_first"),
+                         ("cauchySecond", "cauchy_second"))},
+    "joint": ("joint", "joint-polydisc-radii"),
+    "chain": ("chain", "chain-polydisc-radii"),
+    "boundary": ("boundary", "boundary-decay-constants"),
+    "levels": (None, "grassmann-level-k-certificate"),
+    "chainTopExponent": (None, "chain-qr-cocycle-mean"),
+}
+
+
 def certificate_to_report(rep: cert.CertificateReport) -> dict:
     """CertificateReport -> JSON structure with formula-tagged leaves."""
     lad = rep.ladder
     inputs = {"theta": lad.theta, "gap": lad.gap, "ecc": lad.ecc}
-    ids = cert.FORMULA_IDS
-    out = {
-        "ladder": {
-            "n0": leaf(lad.n0, ids["n0"], inputs),
-            "tau0": leaf(lad.tau0, ids["tau0"],
-                         {**inputs, "variant": lad.tau0_variant,
-                          "optimistic": lad.tau0_optimistic,
-                          "pessimistic": lad.tau0_pessimistic}),
-            "C2": leaf(lad.C2, "holder-growth-constant", inputs),
-            "NTheta": leaf(lad.N_theta, ids["NTheta"], inputs),
-            "tauStar": leaf(lad.tau_star, ids["tauStar"], inputs),
-            "rhoStar": leaf(lad.rho_star, ids["rhoStar"], inputs),
-            "RNormBound": leaf(lad.R_norm_bound, "iterated-operator-norm",
-                               inputs),
-        },
-        "KStar": leaf(rep.K_star, ids["KStar"], inputs),
-        "KStarSp": leaf(rep.K_star_sp, ids["KStarSp"], inputs),
-        "rigorous": rep.rigorous,
-        "rStar": leaf(rep.r_star, ids["rStar"], inputs),
-        "rExtension": leaf(rep.r_extension, "extension-radius-half", inputs),
-        "MStar": leaf(rep.M_star, ids["MStar"], inputs),
-        "cauchyFirst": leaf(rep.cauchy_first, ids["cauchy"],
-                            {"order": 1, "convention": rep.radius_convention}),
-        "cauchySecond": leaf(rep.cauchy_second, ids["cauchy"],
-                             {"order": 2, "convention": rep.radius_convention}),
-        "radiusConvention": rep.radius_convention,
-        "joint": {k: leaf(v, ids["joint"], inputs)
-                  for k, v in rep.joint.items()},
-        "inputProvenance": rep.input_provenance,
+    own_inputs = {
+        "tau0": {**inputs, "variant": lad.tau0_variant,
+                 "optimistic": lad.tau0_optimistic,
+                 "pessimistic": lad.tau0_pessimistic},
+        "cauchyFirst": {"order": 1, "convention": rep.radius_convention},
+        "cauchySecond": {"order": 2, "convention": rep.radius_convention},
     }
-    if rep.chain is not None:
-        out["chain"] = {k: leaf(v, ids["chain"], inputs)
-                        for k, v in rep.chain.items()}
-    if rep.boundary is not None:
-        out["boundary"] = {k: leaf(v, ids["boundary"], inputs)
-                           for k, v in rep.boundary.items()}
+    out = {"ladder": {}, "rigorous": rep.rigorous,
+           "radiusConvention": rep.radius_convention,
+           "inputProvenance": rep.input_provenance}
+    for key, (attr, formula_id) in REPORT_LEAVES.items():
+        if attr is None:
+            continue
+        block, _, attr = attr.rpartition(".")
+        value = getattr(lad if block else rep, attr)
+        node_inputs = own_inputs.get(key, inputs)
+        if isinstance(value, dict):
+            out[key] = {k: leaf(v, formula_id, node_inputs)
+                        for k, v in value.items()}
+        elif value is not None:
+            (out["ladder"] if block else out)[key] = leaf(value, formula_id,
+                                                          node_inputs)
     return out
 
 
@@ -335,13 +353,11 @@ def build_certificate(cfg: dict, spec: CocycleSpec,
 def cmd_estimate(cfg, args):
     spec = cocycle_from_config(cfg)
     mc = cfg["mc"]
-    kw = dict(steps=mc["steps"], trials=mc["trials"], seed=mc["seed"],
-              burnin=mc["burnin"])
     report = {"mc": mc, "kind": spec.kind}
     if spec.kind == "iid":
-        lam, se = estimate_top_exponent(spec, **kw)
-        spectrum = estimate_spectrum(spec, **kw)
-        gap, gse = lyapunov_gap(spec, **kw)
+        lam, se = estimate_top_exponent(spec, **mc)
+        spectrum = estimate_spectrum(spec, **mc)
+        gap, gse = lyapunov_gap(spec, **mc)
         report["topExponent"] = leaf(lam, "qr-cocycle-mean",
                                      {"stderr": se, **mc})
         report["spectrum"] = [
@@ -349,9 +365,9 @@ def cmd_estimate(cfg, args):
             for x, s in zip(spectrum.exponents, spectrum.standard_errors)]
         report["gap"] = leaf(gap, "top-gap-estimate", {"stderr": gse})
     else:
-        lam, se = estimate_markov_exponent(spec, **kw)
-        report["topExponent"] = leaf(lam, "chain-qr-cocycle-mean",
-                                     {"stderr": se, **mc})
+        lam, se = estimate_markov_exponent(spec, **mc)
+        report["topExponent"] = leaf(
+            lam, REPORT_LEAVES["chainTopExponent"][1], {"stderr": se, **mc})
         report["chainGap"] = leaf(spec.chain_gap, "transition-spectral-gap")
     return EXIT_OK, report, None
 
@@ -368,7 +384,10 @@ def cmd_extend(cfg, args):
         raise ConfigError("extend requires iid weights")
     if args.z is None:
         raise ConfigError("extend requires --z as JSON [[re, im], ...]")
-    zs = json.loads(args.z)
+    try:
+        zs = json.loads(args.z)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"--z must be JSON [[re, im], ...]: {exc}") from exc
     exc = jsonschema.exceptions.best_match(Z_VALIDATOR.iter_errors(zs))
     if exc is not None:
         raise ConfigError(
@@ -410,7 +429,7 @@ def cmd_taylor(cfg, args):
         "sharpRadius": leaf(sharp["radius"], "cauchy-hadamard-tail",
                             {"indeterminate": sharp["indeterminate"],
                              "caveat": "finite-order surrogate"}),
-        "certificateRadius": leaf(rep.r_star, cert.FORMULA_IDS["rStar"]),
+        "certificateRadius": leaf(rep.r_star, REPORT_LEAVES["rStar"][1]),
     }
     return EXIT_OK, report, None
 
@@ -445,12 +464,9 @@ def cmd_chain(cfg, args):
         raise ConfigError("chain requires a transition matrix in the config")
     rep, _ = build_certificate(cfg, spec, cfg["theta"])
     report = certificate_to_report(rep)
-    mc = cfg["mc"]
-    lam, se = estimate_markov_exponent(spec, steps=mc["steps"],
-                                       trials=mc["trials"], seed=mc["seed"],
-                                       burnin=mc["burnin"])
-    report["chainTopExponent"] = leaf(lam, "chain-qr-cocycle-mean",
-                                      {"stderr": se})
+    lam, se = estimate_markov_exponent(spec, **cfg["mc"])
+    report["chainTopExponent"] = leaf(
+        lam, REPORT_LEAVES["chainTopExponent"][1], {"stderr": se})
     if spec.tuple.d == 2:
         grid = top.build_grid(min(cfg["grid"]["m"], 600))
         val = top.chain_extension_value(spec.transition, spec.tuple, grid)
@@ -465,30 +481,38 @@ def cmd_grassmann(cfg, args):
         raise ConfigError("grassmann requires iid weights")
     levels = sorted(cfg["grassmann"]["levels"]) or [1]
     gaps = {int(k): float(v) for k, v in cfg["grassmann"]["gaps"].items()}
-    mc = cfg["mc"]
     spectrum = None
     report = {"levels": {}}
     r_prev = None
     for k in levels:
         if k not in gaps:
             if spectrum is None:
-                spectrum = estimate_spectrum(spec, steps=mc["steps"],
-                                             trials=mc["trials"],
-                                             seed=mc["seed"],
-                                             burnin=mc["burnin"])
+                spectrum = estimate_spectrum(spec, **cfg["mc"])
             gaps[k] = float(spectrum.exponents[k - 1]
                             - spectrum.exponents[k])
         rec = cert.grassmann_certificate(spec.tuple, cfg["theta"], k,
                                          gaps[k], r_H_previous=r_prev)
         r_prev = rec["r_H"]
         report["levels"][str(k)] = {
-            kk: leaf(vv, cert.FORMULA_IDS["grassmann"], {"k": k})
+            kk: leaf(vv, REPORT_LEAVES["levels"][1], {"k": k})
             for kk, vv in rec.items()}
     return EXIT_OK, report, None
 
 
+def _run_checks(report: ver.VerificationReport, producer, *args, **kwargs):
+    """Add the records of one check producer to report, each stamped with
+    the wall time of the producer call."""
+    t0 = time.perf_counter()
+    made = producer(*args, **kwargs)
+    elapsed = time.perf_counter() - t0
+    for record in made.checks:
+        record.runtime = elapsed
+    report.extend(made)
+
+
 def cmd_example(cfg, args):
-    report = ver.reproduce_reference_example()
+    report = ver.VerificationReport()
+    _run_checks(report, ver.reproduce_reference_example)
     code = EXIT_OK if report.passed else EXIT_VERIFICATION
     tuple_ = ver.reference_tuple()
     rep = cert.certify(tuple_, ver.REFERENCE_P, ver.REFERENCE_THETA,
@@ -502,23 +526,22 @@ def cmd_verify(cfg, args):
     spec = cocycle_from_config(cfg)
     samples = 10_000 if args.fast else 100_000
     grid_m = 200 if args.fast else min(cfg["grid"]["m"], 400)
+    seed = cfg["mc"]["seed"]
     report = ver.VerificationReport()
-    report.extend(ver.reproduce_reference_example())
-    report.extend(ver.lemma_sampling_suite(samples=samples,
-                                           seed=cfg["mc"]["seed"]))
-    report.extend(ver.exterior_norm_identity_check(
-        samples=max(samples // 10, 1000), seed=cfg["mc"]["seed"] + 1))
-    report.extend(ver.resolvent_identity_check(seed=cfg["mc"]["seed"] + 2))
-    report.extend(ver.holder_operator_norm_check(spec.tuple, cfg["theta"],
-                                                 grid_m=min(grid_m, 200)))
+    _run_checks(report, ver.reproduce_reference_example)
+    _run_checks(report, ver.lemma_sampling_suite, samples=samples, seed=seed)
+    _run_checks(report, ver.exterior_norm_identity_check,
+                samples=max(samples // 10, 1000), seed=seed + 1)
+    _run_checks(report, ver.resolvent_identity_check, seed=seed + 2)
+    _run_checks(report, ver.holder_operator_norm_check, spec.tuple,
+                cfg["theta"], grid_m=min(grid_m, 200))
     if spec.tuple.d == 2 and spec.kind == "iid":
         gap, _ = resolve_gap(cfg, spec)
-        report.extend(ver.check_cauchy_dominance(
-            spec.tuple, spec.weights, cfg["theta"], gap, grid_m=grid_m))
-        report.extend(ver.markov_iid_reduction_check(
-            spec.tuple, spec.weights, grid_m=grid_m,
-            mc_steps=cfg["mc"]["steps"], mc_trials=cfg["mc"]["trials"],
-            seed=cfg["mc"]["seed"] + 3))
+        _run_checks(report, ver.check_cauchy_dominance, spec.tuple,
+                    spec.weights, cfg["theta"], gap, grid_m=grid_m)
+        _run_checks(report, ver.markov_iid_reduction_check, spec.tuple,
+                    spec.weights, grid_m=grid_m, mc_steps=cfg["mc"]["steps"],
+                    mc_trials=cfg["mc"]["trials"], seed=seed + 3)
     code = EXIT_OK if report.passed else EXIT_VERIFICATION
     return code, report.to_dict(), None
 

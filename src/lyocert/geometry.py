@@ -79,10 +79,6 @@ class MatrixTuple:
         """Tuple-level eccentricity max_i ||A_i|| * ||A_i^-1||."""
         return float(self.eccentricities.max())
 
-    @property
-    def log_norm_sup(self) -> float:
-        return float(np.log(self.operator_norms).max())
-
     def scaled(self, c: float) -> "MatrixTuple":
         return MatrixTuple.from_matrices([c * m for m in self.matrices])
 

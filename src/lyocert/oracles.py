@@ -11,7 +11,7 @@ others.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,9 +63,6 @@ class CocycleSpec:
             raise ValueError("chain_gap is defined for markov specs")
         ev = np.sort(np.abs(np.linalg.eigvals(self.transition)))[::-1]
         return float(1.0 - ev[1]) if ev.size > 1 else 1.0
-
-    def with_tuple(self, tuple_: MatrixTuple) -> "CocycleSpec":
-        return replace(self, tuple=tuple_)
 
 
 @dataclass(frozen=True)

@@ -107,6 +107,8 @@ class TestConfigLoading:
         assert reference_cfg["dimension"] == 2
         assert reference_cfg["theta"] == 0.5
         assert len(reference_cfg["matrices"]) == 2
+        # the Monte Carlo estimators take cfg["mc"] as keyword arguments
+        assert reference_cfg["mc"].keys() == cli.MC_DEFAULTS.keys()
 
     def test_missing_file_is_config_error(self):
         with pytest.raises(cli.ConfigError):
@@ -171,12 +173,25 @@ class TestCertifyCommand:
         r_star = report["rStar"]["value"]
         assert r_star == pytest.approx(1.6458e-5, rel=1e-3)
 
-    def test_every_numeric_leaf_has_formula_id(self, tmp_path):
-        _, report = run_json(["certify"], tmp_path)
+    @pytest.mark.parametrize("argv", [
+        ["certify"], ["extend", "--z", "[[0.5, 0.001], [0.5, -0.001]]"],
+        ["taylor", "--grid-m", "100"], ["estimate"], ["chain"],
+        ["grassmann"]], ids=lambda argv: argv[0])
+    def test_every_numeric_leaf_has_formula_id(self, argv, tmp_path,
+                                               chain_cfg_path):
+        if argv == ["chain"]:
+            argv = argv + ["--config", chain_cfg_path]
+        code, report = run_json(argv, tmp_path)
+        assert code == cli.EXIT_OK
+
+        def is_leaf(node):
+            # extend's report keeps its leaf under a "value" key
+            return "value" in node and not (isinstance(node["value"], dict)
+                                            and "value" in node["value"])
 
         def walk(node, path=""):
             if isinstance(node, dict):
-                if "value" in node:
+                if is_leaf(node):
                     assert "formulaId" in node, f"leaf without formulaId: {path}"
                     if (isinstance(node["value"], float)
                             and node["value"] > 0.0
@@ -220,7 +235,7 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("z", ["[1, 2]", '[["a", 0], [0.5, 0]]',
                                    "[[0.5, null], [0.5, 0]]",
-                                   "[[0.5, 0, 0], [0.5, 0]]", "[]"])
+                                   "[[0.5, 0, 0], [0.5, 0]]", "[]", "[1,"])
     def test_extend_rejects_malformed_z(self, z, capsys):
         assert run(["extend", "--z", z]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: --z must be")
@@ -263,6 +278,22 @@ class TestOtherCommands:
         code, report = run_json(["verify", "--fast"], tmp_path)
         assert code == cli.EXIT_OK
         assert report["passed"] is True
+
+    def test_verify_runtime_is_the_producer_call_time(self, tmp_path):
+        _, report = run_json(["verify", "--fast"], tmp_path)
+        own_producer = ("lemma.exterior_norm_identity",
+                        "lemma.transfer_norm_bound")
+        runtimes = {}
+        for c in report["checks"]:
+            assert c["runtime"] > 0.0, c["name"]
+            producer = (c["name"] if c["name"] in own_producer
+                        else c["name"].split(".")[0])
+            runtimes.setdefault(producer, set()).add(c["runtime"])
+        assert sorted(runtimes) == [
+            "appendix", "cauchy_dominance", "lemma",
+            "lemma.exterior_norm_identity", "lemma.transfer_norm_bound",
+            "markov_iid", "reference"]
+        assert all(len(v) == 1 for v in runtimes.values()), runtimes
 
 
 class TestSerialization:

@@ -57,6 +57,14 @@ class TestReferenceTuple:
         assert by_name["reference.n0"].measured == 11
         assert by_name["reference.N_theta"].measured == 1056
 
+    def test_reference_tolerances_render_the_applied_tolerance(self):
+        tol = {c.name: c.tolerance
+               for c in ver.reproduce_reference_example().checks}
+        assert tol["reference.C2"] == "1e-10% relative"
+        assert tol["reference.tau0"] == "3% relative"
+        assert tol["reference.cauchy_second"] == "5% relative"
+        assert tol["reference.n0"] == "exact"
+
 
 def _lemma_tallies_reference(samples, seed, d=3):
     """One sample at a time: worst lhs/rhs ratio and violation count."""
