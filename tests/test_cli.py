@@ -163,6 +163,30 @@ class TestExitCodes:
                     "--grid-m", "4"]) == cli.EXIT_CONFIG
 
 
+def assert_leaves_have_formula_ids(report):
+    def is_leaf(node):
+        # extend's report keeps its leaf under a "value" key
+        return "value" in node and not (isinstance(node["value"], dict)
+                                        and "value" in node["value"])
+
+    def walk(node, path=""):
+        if isinstance(node, dict):
+            if is_leaf(node):
+                assert "formulaId" in node, f"leaf without formulaId: {path}"
+                if (isinstance(node["value"], float)
+                        and node["value"] > 0.0
+                        and math.isfinite(node["value"])):
+                    assert "logValue" in node, f"no logValue at {path}"
+            else:
+                for k, v in node.items():
+                    walk(v, f"{path}.{k}")
+        elif isinstance(node, list):
+            for i, v in enumerate(node):
+                walk(v, f"{path}[{i}]")
+
+    walk(report)
+
+
 class TestCertifyCommand:
     def test_reference_values(self, tmp_path):
         code, report = run_json(["certify"], tmp_path)
@@ -173,38 +197,22 @@ class TestCertifyCommand:
         r_star = report["rStar"]["value"]
         assert r_star == pytest.approx(1.6458e-5, rel=1e-3)
 
+    def test_every_numeric_leaf_has_formula_id(self, tmp_path):
+        code, report = run_json(["certify"], tmp_path)
+        assert code == cli.EXIT_OK
+        assert_leaves_have_formula_ids(report)
+
     @pytest.mark.parametrize("argv", [
-        ["certify"], ["extend", "--z", "[[0.5, 0.001], [0.5, -0.001]]"],
+        ["extend", "--z", "[[0.5, 0.001], [0.5, -0.001]]"],
         ["taylor", "--grid-m", "100"], ["estimate"], ["chain"],
         ["grassmann"]], ids=lambda argv: argv[0])
-    def test_every_numeric_leaf_has_formula_id(self, argv, tmp_path,
-                                               chain_cfg_path):
+    def test_other_command_leaves_have_formula_id(self, argv, tmp_path,
+                                                  chain_cfg_path):
         if argv == ["chain"]:
             argv = argv + ["--config", chain_cfg_path]
         code, report = run_json(argv, tmp_path)
         assert code == cli.EXIT_OK
-
-        def is_leaf(node):
-            # extend's report keeps its leaf under a "value" key
-            return "value" in node and not (isinstance(node["value"], dict)
-                                            and "value" in node["value"])
-
-        def walk(node, path=""):
-            if isinstance(node, dict):
-                if is_leaf(node):
-                    assert "formulaId" in node, f"leaf without formulaId: {path}"
-                    if (isinstance(node["value"], float)
-                            and node["value"] > 0.0
-                            and math.isfinite(node["value"])):
-                        assert "logValue" in node, f"no logValue at {path}"
-                else:
-                    for k, v in node.items():
-                        walk(v, f"{path}.{k}")
-            elif isinstance(node, list):
-                for i, v in enumerate(node):
-                    walk(v, f"{path}[{i}]")
-
-        walk(report)
+        assert_leaves_have_formula_ids(report)
 
     def test_reports_byte_identical(self, tmp_path):
         _, a = run_json(["certify", "--seed", "7"], tmp_path, "a.json")
