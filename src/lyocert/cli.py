@@ -29,7 +29,7 @@ from .certificates import (ConstantValidationError, GapNotSimpleError,
 from .geometry import InvalidMatrixError, MatrixTuple
 from .oracles import (CocycleSpec, NumericOverflowError,
                       estimate_markov_exponent, estimate_spectrum,
-                      estimate_top_exponent, lyapunov_gap)
+                      estimate_top_exponent, gap_from_estimates, lyapunov_gap)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -327,6 +327,10 @@ def certificate_to_report(rep: cert.CertificateReport) -> dict:
         elif value is not None:
             (out["ladder"] if block else out)[key] = leaf(value, formula_id,
                                                           node_inputs)
+    if rep.rigorous:
+        # r* underflows to 0 under an astronomical K*; its log stays finite
+        out["rStar"]["logValue"] = rep.log_r_star_rigorous
+        out["rExtension"]["logValue"] = rep.log_r_star_rigorous - math.log(2.0)
     return out
 
 
@@ -357,7 +361,7 @@ def cmd_estimate(cfg, args):
     if spec.kind == "iid":
         lam, se = estimate_top_exponent(spec, **mc)
         spectrum = estimate_spectrum(spec, **mc)
-        gap, gse = lyapunov_gap(spec, **mc)
+        gap, gse = gap_from_estimates(spec, (lam, se), spectrum)
         report["topExponent"] = leaf(lam, "qr-cocycle-mean",
                                      {"stderr": se, **mc})
         report["spectrum"] = [
@@ -414,7 +418,14 @@ def cmd_taylor(cfg, args):
     if direction is None:
         direction = np.zeros(N)
         direction[0], direction[1] = 1.0, -1.0
-    radius = ct["radius"] if ct["radius"] is not None else rep.r_extension
+    radius = ct["radius"]
+    if radius is None:
+        radius = rep.r_extension
+        if not radius > 0.0:
+            raise ConfigError(
+                "flags.rigorousK: the certified extension radius "
+                f"exp({rep.log_r_star_rigorous - math.log(2.0):.6g}) "
+                "underflows to 0; set contour.radius")
     grid = top.build_grid(cfg["grid"]["m"])
     coeffs = top.taylor_coefficients(spec.tuple, spec.weights, direction,
                                      ct["order"], radius, ct["nodes"], grid)
@@ -431,6 +442,8 @@ def cmd_taylor(cfg, args):
                              "caveat": "finite-order surrogate"}),
         "certificateRadius": leaf(rep.r_star, REPORT_LEAVES["rStar"][1]),
     }
+    if rep.rigorous:
+        report["certificateRadius"]["logValue"] = rep.log_r_star_rigorous
     return EXIT_OK, report, None
 
 

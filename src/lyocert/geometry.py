@@ -185,14 +185,20 @@ def wedge_vector(basis: np.ndarray) -> np.ndarray:
     return np.linalg.det(basis[..., np.array(_lex_subsets(d, k)), :])
 
 
-def unit_plane(basis) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis and canonical unit wedge of the column span of a
-    d x k matrix or a stack (..., d, k); ValueError on dependent columns."""
-    q, r = np.linalg.qr(basis)
-    if np.min(np.abs(np.diagonal(r, axis1=-2, axis2=-1))) < 1e-12:
+def unit_wedge(basis) -> np.ndarray:
+    """Canonical unit wedge of the column span of a d x k matrix or a stack
+    (..., d, k); ValueError on dependent columns.
+
+    The wedge norm is the k-volume of the columns, at most the product of
+    their lengths (Hadamard); columns are dependent when it falls below
+    1e-12 of that product.
+    """
+    w = wedge_vector(basis)
+    norm = np.linalg.norm(w, axis=-1, keepdims=True)
+    lengths = np.prod(np.linalg.norm(basis, axis=-2), axis=-1)
+    if np.any(norm[..., 0] < 1e-12 * lengths):
         raise ValueError("basis vectors are linearly dependent")
-    w = wedge_vector(q)
-    return q, _canonical_sign(w / np.linalg.norm(w, axis=-1, keepdims=True))
+    return _canonical_sign(w / norm)
 
 
 @dataclass(frozen=True)
@@ -212,7 +218,10 @@ class GrassmannPoint:
         d, k = basis.shape
         if not 1 <= k <= d - 1:
             raise ValueError(f"need 1 <= k <= d-1, got k={k}, d={d}")
-        q, w = unit_plane(basis)
+        q, r = np.linalg.qr(basis)
+        if np.min(np.abs(np.diag(r))) < 1e-12:
+            raise ValueError("basis vectors are linearly dependent")
+        w = unit_wedge(q)
         q = np.ascontiguousarray(q)
         q.setflags(write=False)
         w.setflags(write=False)
@@ -246,8 +255,12 @@ def sample_directions(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+# Singular-value range of sample_matrix: sigma_min >= 0.2, sigma_max <= 5.
+SINGULAR_RANGE = (0.2, 5.0)
+
+
 def draw_matrix_sample(rng: np.random.Generator, d: int,
-                       s_range=(0.2, 5.0)) -> tuple[np.ndarray, np.ndarray]:
+                       s_range=SINGULAR_RANGE) -> tuple[np.ndarray, np.ndarray]:
     """The random draws of one sample_matrix call, in stream order: d
     log-uniform log singular values, then the normals of the two rotations."""
     lo, hi = np.log(s_range[0]), np.log(s_range[1])
@@ -263,7 +276,7 @@ def matrix_from_draws(log_s: np.ndarray, normals: np.ndarray) -> np.ndarray:
 
 
 def sample_matrix(rng: np.random.Generator, d: int,
-                  s_range=(0.2, 5.0)) -> np.ndarray:
+                  s_range=SINGULAR_RANGE) -> np.ndarray:
     """R1 diag(s) R2 with random rotations and log-uniform singular values.
 
     Covers the eccentricity range up to (s_max/s_min) without degenerate

@@ -106,17 +106,27 @@ def _draw_indices(spec: CocycleSpec, rngs, n: int) -> np.ndarray:
     # would index past the last state.
     cum[:, -1] = 1.0
     pi = stationary_distribution(P)
-    state = np.empty(len(rngs), dtype=np.int64)
+    start = np.empty(len(rngs), dtype=np.int64)
     u = np.empty((len(rngs), n))
     for r, rng in enumerate(rngs):
-        state[r] = rng.choice(spec.tuple.N, p=pi)
+        start[r] = rng.choice(spec.tuple.N, p=pi)
         u[r] = rng.random(n)
-    idx = np.empty((len(rngs), n), dtype=np.int64)
-    for t in range(n):
-        # the count of partial sums below u is searchsorted(..., u, "left")
-        state = np.count_nonzero(cum[state] < u[:, t, None], axis=1)
-        idx[:, t] = state
-    return idx
+    # succ[s, r, t] is the state after s at step t of row r: the count of
+    # partial sums of row s below u[r, t], which searchsorted(..., "left")
+    # gives.
+    succ = np.empty((len(cum), len(rngs), n),
+                    dtype=np.min_scalar_type(len(cum) - 1))
+    for s, c in enumerate(cum):
+        succ[s] = np.searchsorted(c, u, "left")
+    # Doubling scan: after the pass with shift k, succ[:, r, t] maps the
+    # state before step max(t - 2k + 1, 0) to the state after step t.
+    k = 1
+    while k < n:
+        succ[:, :, k:] = np.take_along_axis(succ[:, :, k:], succ[:, :, :-k],
+                                            axis=0)
+        k *= 2
+    idx = np.take_along_axis(succ, start[None, :, None], axis=0)[0]
+    return idx.astype(np.int64)
 
 
 def _run_trials(spec: CocycleSpec, steps: int, trials: int, seed: int,
@@ -124,9 +134,13 @@ def _run_trials(spec: CocycleSpec, steps: int, trials: int, seed: int,
     """(trials, n_vectors) per-trial exponent estimates, fixed trial order.
 
     Each trial draws its indices, then its initial frame, from its own
-    stream; all trials' orthonormal frames advance together. The per-
-    direction sums of log R-diagonals over the `steps` window after burn-in
-    are accumulated with a QR renormalization every RENORM_INTERVAL steps.
+    stream. The steps fall into blocks of RENORM_INTERVAL, with burn-in
+    ending on a block edge, so no block mixes burn-in and accumulation. The
+    product of every block of every trial is built at once, a short block
+    padded with the identity, which multiplies exactly. All trials'
+    orthonormal frames then advance block by block, each followed by a QR
+    renormalization; the per-direction sums of log R-diagonals over the
+    `steps` window after burn-in are the estimates.
     """
     if steps < 1 or trials < 1:
         raise ValueError("steps and trials must be >= 1")
@@ -137,21 +151,24 @@ def _run_trials(spec: CocycleSpec, steps: int, trials: int, seed: int,
     d = mats.shape[-1]
     frames = np.linalg.qr(np.array(
         [rng.standard_normal((d, n_vectors)) for rng in rngs]))[0]
+    burnin_starts = np.arange(0, burnin, RENORM_INTERVAL)
+    starts = np.concatenate([burnin_starts,
+                             np.arange(burnin, total, RENORM_INTERVAL)])
+    ends = np.append(starts[1:], total)
+    # past a block's end, steps take the identity appended to the matrices
+    padded = np.concatenate([mats, np.eye(d)[None]])
+    products = np.eye(d)
+    for j in range(RENORM_INTERVAL):
+        step = np.where((starts + j < ends)[:, None],
+                        idx.T[np.minimum(starts + j, total - 1)], len(mats))
+        products = padded[step] @ products
     logs = np.zeros((trials, n_vectors))
-    t = 0
-    while t < total:
-        block = min(RENORM_INTERVAL, total - t)
-        # never mix burn-in and accumulation inside one block
-        if t < burnin:
-            block = min(block, burnin - t)
-        for step_mats in mats[idx[:, t:t + block].T]:
-            frames = step_mats @ frames
-        t += block
-        q, r = np.linalg.qr(frames)
+    for b, product in enumerate(products):
+        q, r = np.linalg.qr(product @ frames)
         diag = np.diagonal(r, axis1=-2, axis2=-1)
         if np.any(np.abs(diag) < 1e-300) or not np.all(np.isfinite(diag)):
             raise NumericOverflowError("frame degenerated during accumulation")
-        if t > burnin:
+        if b >= len(burnin_starts):
             logs += np.log(np.abs(diag))
         frames = q * np.sign(diag)[..., None, :]
     return logs / steps
@@ -214,17 +231,32 @@ def determinant_log_mean(spec: CocycleSpec) -> float:
     return float(pi @ spec.transition @ logdet)
 
 
+def gap_from_estimates(spec: CocycleSpec, top=None,
+                       spectrum: SpectrumEstimate | None = None):
+    """Simplicity gap lambda_1 - lambda_2 with standard error, from
+    estimates already made.
+
+    For d = 2 it takes top, the (mean, stderr) of estimate_top_exponent,
+    and uses the exact identity lambda_1 + lambda_2 = E log|det A|; for
+    d >= 3 it takes the estimate_spectrum result.
+    """
+    if spec.tuple.d == 2:
+        lam, se = top
+        return 2.0 * lam - determinant_log_mean(spec), 2.0 * se
+    gap = float(spectrum.exponents[0] - spectrum.exponents[1])
+    se = float(math.hypot(spectrum.standard_errors[0],
+                          spectrum.standard_errors[1]))
+    return gap, se
+
+
 def lyapunov_gap(spec: CocycleSpec, steps: int, trials: int, seed: int,
                  burnin: int = DEFAULT_BURNIN):
     """Simplicity gap lambda_1 - lambda_2 with standard error.
 
-    For d = 2 this uses the exact identity lambda_1 + lambda_2 =
-    E log|det A|, so only the top exponent is estimated.
+    For d = 2 only the top exponent is estimated (see gap_from_estimates).
     """
     if spec.tuple.d == 2:
-        lam, se = estimate_top_exponent(spec, steps, trials, seed, burnin)
-        return 2.0 * lam - determinant_log_mean(spec), 2.0 * se
-    est = estimate_spectrum(spec, steps, trials, seed, burnin)
-    gap = float(est.exponents[0] - est.exponents[1])
-    se = float(math.hypot(est.standard_errors[0], est.standard_errors[1]))
-    return gap, se
+        return gap_from_estimates(spec, top=estimate_top_exponent(
+            spec, steps, trials, seed, burnin))
+    return gap_from_estimates(spec, spectrum=estimate_spectrum(
+        spec, steps, trials, seed, burnin))

@@ -15,9 +15,9 @@ import numpy as np
 
 from . import certificates as cert
 from . import operator as top
-from .geometry import (MatrixTuple, draw_matrix_sample, exterior_power,
-                       fs_distance_vec, matrix_from_draws, unit_plane,
-                       wedge_distance)
+from .geometry import (SINGULAR_RANGE, MatrixTuple, draw_matrix_sample,
+                       exterior_power, fs_distance_vec, matrix_from_draws,
+                       unit_wedge, wedge_distance)
 from .oracles import (CocycleSpec, estimate_markov_exponent,
                       estimate_partial_sum, estimate_spectrum,
                       estimate_top_exponent, lyapunov_gap)
@@ -310,23 +310,30 @@ LEMMA_BLOCK = 1000
 
 
 def _lemma_block(rng: np.random.Generator, n: int, d: int, k: int):
-    """Draws of n lemma samples in stream order: sample_matrix, the two
-    directions, the perturbation, its scale, and two (d, k) bases."""
-    log_s = np.empty((n, d))
-    rot = np.empty((n, 2, d, d))
-    normals = np.empty((n, 2 * d + d * d))
-    scale = np.empty(n)
-    bases = np.empty((n, 2 * d * k))
-    for i in range(n):
-        log_s[i], rot[i] = draw_matrix_sample(rng, d)
-        normals[i] = rng.standard_normal(2 * d + d * d)
-        scale[i] = rng.random()
-        bases[i] = rng.standard_normal(2 * d * k)
-    uv = normals[:, :2 * d].reshape(n, 2, d)
-    uv = uv / np.linalg.norm(uv, axis=-1, keepdims=True)
-    return (matrix_from_draws(log_s, rot), uv,
-            normals[:, 2 * d:].reshape(n, d, d), scale,
-            bases.reshape(n, 2, d, k))
+    """Draws of n lemma samples, two generator calls per block.
+
+    rng.random((n, d + 1)): d uniforms for the log singular values of g
+    (log-uniform over SINGULAR_RANGE, as in draw_matrix_sample), then the
+    perturbation scale. rng.standard_normal((n, 3d^2 + 2d + 2dk)), by
+    columns: the two rotations of g (2d^2), the two directions (2d), the
+    perturbation (d^2) and the two (d, k) bases (2dk).
+    Returns g, the unit directions (n, 2, d), the perturbation scaled to
+    spectral norm 0.1 * scale, that norm, and the bases (n, 2, d, k).
+    """
+    uniforms = rng.random((n, d + 1))
+    normals = rng.standard_normal((n, 3 * d * d + 2 * d + 2 * d * k))
+    lo, hi = np.log(SINGULAR_RANGE)
+    cols = np.cumsum([2 * d * d, 2 * d, d * d])
+    rot, uv, delta, bases = np.split(normals, cols, axis=1)
+    g = matrix_from_draws(lo + (hi - lo) * uniforms[:, :d],
+                          rot.reshape(n, 2, d, d))
+    uv = uv.reshape(n, 2, d)
+    uv /= np.linalg.norm(uv, axis=-1, keepdims=True)
+    delta = delta.reshape(n, d, d)
+    delta_norm = 0.1 * uniforms[:, d]
+    factor = delta_norm / np.linalg.norm(delta, 2, axis=(-2, -1))
+    delta *= factor[:, None, None]
+    return g, uv, delta, delta_norm, bases.reshape(n, 2, d, k)
 
 
 def _lemma_tallies(samples: int, seed: int, d: int, k: int):
@@ -344,7 +351,7 @@ def _lemma_tallies(samples: int, seed: int, d: int, k: int):
     done = 0
     while done < samples:
         n = min(LEMMA_BLOCK, samples - done)
-        g, uv, delta, scale, bases = _lemma_block(rng, n, d, k)
+        g, uv, delta, delta_norm, bases = _lemma_block(rng, n, d, k)
         sv = np.linalg.svd(g, compute_uv=False)
         nrm, inv = sv[:, 0], 1.0 / sv[:, -1]
         ecc = nrm * inv
@@ -354,9 +361,6 @@ def _lemma_tallies(samples: int, seed: int, d: int, k: int):
         tally("proj_contract", fs_distance_vec(guv[:, 0], guv[:, 1]),
               ecc ** 2 * d_uv)
         # matrix Lipschitz of the log stretch
-        factor = 0.1 * scale / np.linalg.norm(delta, 2, axis=(-2, -1))
-        delta *= factor[:, None, None]
-        delta_norm = np.linalg.norm(delta, 2, axis=(-2, -1))
         g2 = g + delta
         sv2 = np.linalg.svd(g2, compute_uv=False)
         inv_max = np.maximum(inv, 1.0 / sv2[:, -1])
@@ -366,12 +370,13 @@ def _lemma_tallies(samples: int, seed: int, d: int, k: int):
         # direction Lipschitz of the log stretch
         tally("logform_lip_v", np.abs(phi[:, 0] - phi[:, 1]),
               (ecc + 1.0) * d_uv)
-        # Grassmannian contraction and perturbation
-        q, w = unit_plane(bases)
-        _, gw = unit_plane(g[:, None] @ q)
+        # Grassmannian contraction and perturbation: the wedge of g B spans
+        # the same line as that of g Q for B = QR, so no plane needs a QR
+        w = unit_wedge(bases)
+        gw = unit_wedge(g[:, None] @ bases)
         tally("grassmann_contract", wedge_distance(gw[:, 0], gw[:, 1]),
               ecc ** k * wedge_distance(w[:, 0], w[:, 1]))
-        _, g2w = unit_plane(g2 @ q[:, 0])
+        g2w = unit_wedge(g2 @ bases[:, 0])
         tally("grassmann_perturb", wedge_distance(gw[:, 0], g2w),
               k * np.maximum(nrm, sv2[:, 0]) ** (k - 1) * inv_max ** k
               * delta_norm)
@@ -397,9 +402,11 @@ def lemma_sampling_suite(samples: int = 100_000, seed: int = 0,
         invariance (take g contracting with k = 1), so the full constant
         is the one validated here.
     Violations are failures; the report records each family's worst margin.
-    Samples are drawn one at a time from a single stream and checked in
-    blocks of LEMMA_BLOCK as stacks. g' = g + Delta with ||Delta|| <= 0.1
-    stays invertible: sigma_min(g) >= 0.2 under sample_matrix's law.
+    Samples are drawn and checked in blocks of LEMMA_BLOCK as stacks, with
+    two generator calls per block (see _lemma_block). The stream is laid
+    out per block, so changing LEMMA_BLOCK changes the samples. g' = g +
+    Delta with ||Delta|| <= 0.1 stays invertible: sigma_min(g) >= 0.2 under
+    sample_matrix's law, which g follows.
     """
     report = VerificationReport()
     k = 2 if d >= 3 else 1

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 import lyocert.cli as cli
+import lyocert.geometry as geo
+import lyocert.oracles as orc
 
 
 def run(argv, capsys=None):
@@ -40,6 +42,15 @@ def chain_cfg_path(tmp_path, reference_cfg):
     cfg.pop("weights", None)
     cfg["transition"] = [[0.7, 0.3], [0.4, 0.6]]
     path = tmp_path / "chain.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.fixture
+def rigorous_cfg_path(tmp_path, reference_cfg):
+    cfg = copy.deepcopy(reference_cfg)
+    cfg["flags"]["rigorousK"] = True
+    path = tmp_path / "rigorous.json"
     path.write_text(json.dumps(cfg))
     return str(path)
 
@@ -214,6 +225,18 @@ class TestCertifyCommand:
         assert code == cli.EXIT_OK
         assert_leaves_have_formula_ids(report)
 
+    def test_rigorous_radii_report_their_logs(self, tmp_path,
+                                             rigorous_cfg_path):
+        # The explicit K* has logValue 1898.9, so r* underflows to 0.
+        code, report = run_json(["certify", "--config", rigorous_cfg_path],
+                                tmp_path)
+        assert code == cli.EXIT_OK
+        assert report["rStar"]["value"] == 0
+        assert report["rStar"]["logValue"] == pytest.approx(-1902.634,
+                                                            abs=1e-3)
+        assert (report["rStar"]["logValue"] - report["rExtension"]["logValue"]
+                == pytest.approx(math.log(2.0), abs=1e-12))
+
     def test_reports_byte_identical(self, tmp_path):
         _, a = run_json(["certify", "--seed", "7"], tmp_path, "a.json")
         _, b = run_json(["certify", "--seed", "7"], tmp_path, "b.json")
@@ -230,6 +253,39 @@ class TestOtherCommands:
         code, report = run_json(["estimate"], tmp_path)
         assert code == cli.EXIT_OK
         assert "spectrum" in report and "topExponent" in report
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_estimate_runs_each_monte_carlo_estimate_once(
+            self, d, tmp_path, reference_cfg, monkeypatch):
+        cfg = copy.deepcopy(reference_cfg)
+        cfg["mc"] = {"steps": 400, "trials": 4, "seed": 3, "burnin": 100}
+        if d == 3:
+            rng = np.random.default_rng(2)
+            cfg["dimension"] = 3
+            cfg["matrices"] = [geo.sample_matrix(rng, 3).tolist()
+                               for _ in range(2)]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        calls = []
+        run_trials = orc._run_trials
+        monkeypatch.setattr(orc, "_run_trials",
+                            lambda *args: calls.append(args)
+                            or run_trials(*args))
+        code, report = run_json(["estimate", "--config", str(path)],
+                                tmp_path)
+        assert code == cli.EXIT_OK
+        assert len(calls) == 2
+        spec = cli.cocycle_from_config(cli.load_config(str(path)))
+        gap, se = orc.lyapunov_gap(spec, **cfg["mc"])
+        assert report["gap"]["value"] == gap
+        assert report["gap"]["inputs"]["stderr"] == se
+
+    def test_taylor_names_the_flag_when_the_radius_underflows(
+            self, tmp_path, rigorous_cfg_path, capsys):
+        code = run(["taylor", "--config", rigorous_cfg_path])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "flags.rigorousK" in err and "contour.radius" in err
 
     def test_extend_at_complex_weights(self, tmp_path):
         z = json.dumps([[0.5001, 1e-5], [0.4999, -1e-5]])

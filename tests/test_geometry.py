@@ -153,9 +153,18 @@ class TestGrassmann:
         rhs = geo.grassmann_action(g, geo.grassmann_action(h, V))
         assert geo.grassmann_distance(lhs, rhs) == pytest.approx(0.0, abs=1e-9)
 
+    def test_unit_wedge_of_raw_basis_matches_orthonormalized_plane(self):
+        bases = _rng(10).standard_normal((6, 4, 2))
+        want = [geo.GrassmannPoint.from_basis(b).wedge for b in bases]
+        assert np.max(np.abs(geo.unit_wedge(bases) - want)) <= 1e-14
+
     def test_rejects_rank_deficient_basis(self):
         with pytest.raises(ValueError):
             geo.GrassmannPoint.from_basis(np.ones((3, 2)))
+        bases = _rng(11).standard_normal((3, 3, 2))
+        bases[1, :, 1] = 2.0 * bases[1, :, 0]
+        with pytest.raises(ValueError):
+            geo.unit_wedge(bases)
 
 
 @settings(max_examples=50, deadline=None)

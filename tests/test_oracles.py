@@ -66,9 +66,23 @@ def _d3_tuple():
         [geo.sample_matrix(rng, 3) for _ in range(2)])
 
 
+def _three_state_chain_with_a_zero_transition():
+    # CocycleSpec.markov asks for positive entries; the sampler must still
+    # never take the zero-probability transition 1 -> 2.
+    c, s = math.cos(0.7), math.sin(0.7)
+    T = geo.MatrixTuple.from_matrices(
+        [*REFERENCE.matrices, [[c, -1.5 * s], [s, 1.5 * c]]])
+    P = np.array([[0.2, 0.3, 0.5], [0.6, 0.4, 0.0], [0.3, 0.3, 0.4]])
+    return orc.CocycleSpec(kind="markov", tuple=T, transition=P)
+
+
 @pytest.mark.parametrize("case", ["iid_top", "markov_top", "d3_spectrum",
-                                  "partial_sum"])
+                                  "partial_sum", "markov_zero_transition",
+                                  "no_burnin", "burnin_on_block_edge",
+                                  "steps_below_block"])
 def test_batched_trials_match_per_trial_loop(case):
+    # burn-in not a multiple of RENORM_INTERVAL, so a short block occurs
+    steps, burnin = 1500, 250
     if case == "iid_top":
         spec, n_vectors = orc.CocycleSpec.iid(REFERENCE, (0.5, 0.5)), 1
         mats = spec.tuple.matrices
@@ -78,11 +92,26 @@ def test_batched_trials_match_per_trial_loop(case):
     elif case == "d3_spectrum":
         spec, n_vectors = orc.CocycleSpec.iid(_d3_tuple(), (0.3, 0.7)), 3
         mats = spec.tuple.matrices
-    else:
+    elif case == "partial_sum":
         spec, n_vectors = orc.CocycleSpec.iid(_d3_tuple(), (0.3, 0.7)), 1
         mats = [geo.exterior_power(m, 2) for m in spec.tuple.matrices]
-    # burn-in not a multiple of RENORM_INTERVAL, so a short block occurs
-    args = (spec, 1500, 5, 7, 250, n_vectors)
+    elif case == "markov_zero_transition":
+        spec, n_vectors = _three_state_chain_with_a_zero_transition(), 2
+        mats = spec.tuple.matrices
+        idx = orc._draw_indices(spec, [orc._trial_rng(7, 0)], 5000)[0]
+        assert idx.tolist() == _draw_indices_reference(
+            spec, orc._trial_rng(7, 0), 5000)
+        assert not np.any((idx[:-1] == 1) & (idx[1:] == 2))
+    else:
+        spec, n_vectors = orc.CocycleSpec.iid(REFERENCE, (0.5, 0.5)), 1
+        mats = spec.tuple.matrices
+        if case == "no_burnin":
+            burnin = 0
+        elif case == "burnin_on_block_edge":
+            burnin = 16 * orc.RENORM_INTERVAL
+        else:
+            steps = orc.RENORM_INTERVAL - 3
+    args = (spec, steps, 5, 7, burnin, n_vectors)
     got = orc._run_trials(*args, np.array(mats))
     want = _run_trials_reference(*args, mats)
     assert got.shape == want.shape == (5, n_vectors)

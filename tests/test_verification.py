@@ -67,9 +67,11 @@ class TestReferenceTuple:
 
 
 def _lemma_tallies_reference(samples, seed, d=3):
-    """One sample at a time: worst lhs/rhs ratio and violation count."""
+    """Blocks drawn with the two calls of ver._lemma_block, then one sample
+    at a time: worst lhs/rhs ratio and violation count."""
     rng = np.random.default_rng(seed)
     k = 2 if d >= 3 else 1
+    lo, hi = np.log(geo.SINGULAR_RANGE)
     worst = {"proj_contract": 0.0, "logform_lip_g": 0.0, "logform_lip_v": 0.0,
              "grassmann_contract": 0.0, "grassmann_perturb": 0.0}
     violations = dict.fromkeys(worst, 0)
@@ -78,39 +80,53 @@ def _lemma_tallies_reference(samples, seed, d=3):
         worst[name] = max(worst[name], lhs / rhs if rhs > 0 else 0.0)
         violations[name] += lhs > rhs * (1 + 1e-10)
 
-    for _ in range(samples):
-        g = geo.sample_matrix(rng, d)
-        sv = geo.singular_values(g)
-        nrm, inv = sv[0], 1.0 / sv[-1]
-        ecc = nrm * inv
-        u, v = geo.sample_directions(rng, 2, d)
-        tally("proj_contract", geo.fs_distance_vec(g @ u, g @ v),
-              ecc ** 2 * geo.fs_distance_vec(u, v))
-        delta = rng.standard_normal((d, d))
-        delta *= 0.1 * rng.random() / np.linalg.norm(delta, 2)
-        g2 = g + delta
-        sv2 = geo.singular_values(g2)
-        phi_gu = math.log(np.linalg.norm(g @ u))
-        tally("logform_lip_g",
-              abs(phi_gu - math.log(np.linalg.norm(g2 @ u))),
-              max(inv, 1.0 / sv2[-1]) * np.linalg.norm(delta, 2))
-        tally("logform_lip_v",
-              abs(phi_gu - math.log(np.linalg.norm(g @ v))),
-              (ecc + 1.0) * geo.fs_distance_vec(u, v))
-        V = geo.GrassmannPoint.from_basis(rng.standard_normal((d, k)))
-        W = geo.GrassmannPoint.from_basis(rng.standard_normal((d, k)))
-        gV = geo.grassmann_action(g, V)
-        tally("grassmann_contract",
-              geo.grassmann_distance(gV, geo.grassmann_action(g, W)),
-              ecc ** k * geo.grassmann_distance(V, W))
-        tally("grassmann_perturb",
-              geo.grassmann_distance(gV, geo.grassmann_action(g2, V)),
-              k * max(nrm, sv2[0]) ** (k - 1) * max(inv, 1.0 / sv2[-1]) ** k
-              * np.linalg.norm(delta, 2))
+    def sample(uniforms, normals):
+        # columns: two rotations, two directions, perturbation, two bases
+        rot = normals[:2 * d * d].reshape(2, d, d)
+        u, v = normals[2 * d * d:2 * d * d + 2 * d].reshape(2, d)
+        delta = normals[2 * d * d + 2 * d:3 * d * d + 2 * d].reshape(d, d)
+        bases = normals[3 * d * d + 2 * d:].reshape(2, d, k)
+        g = geo.matrix_from_draws(lo + (hi - lo) * uniforms[:d], rot)
+        u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
+        delta = delta * (0.1 * uniforms[d] / np.linalg.norm(delta, 2))
+        return g, u, v, delta, bases
+
+    done = 0
+    while done < samples:
+        n = min(ver.LEMMA_BLOCK, samples - done)
+        uniforms = rng.random((n, d + 1))
+        normals = rng.standard_normal((n, 3 * d * d + 2 * d + 2 * d * k))
+        for g, u, v, delta, bases in map(sample, uniforms, normals):
+            sv = geo.singular_values(g)
+            nrm, inv = sv[0], 1.0 / sv[-1]
+            ecc = nrm * inv
+            tally("proj_contract", geo.fs_distance_vec(g @ u, g @ v),
+                  ecc ** 2 * geo.fs_distance_vec(u, v))
+            g2 = g + delta
+            sv2 = geo.singular_values(g2)
+            phi_gu = math.log(np.linalg.norm(g @ u))
+            tally("logform_lip_g",
+                  abs(phi_gu - math.log(np.linalg.norm(g2 @ u))),
+                  max(inv, 1.0 / sv2[-1]) * np.linalg.norm(delta, 2))
+            tally("logform_lip_v",
+                  abs(phi_gu - math.log(np.linalg.norm(g @ v))),
+                  (ecc + 1.0) * geo.fs_distance_vec(u, v))
+            V = geo.GrassmannPoint.from_basis(bases[0])
+            W = geo.GrassmannPoint.from_basis(bases[1])
+            gV = geo.grassmann_action(g, V)
+            tally("grassmann_contract",
+                  geo.grassmann_distance(gV, geo.grassmann_action(g, W)),
+                  ecc ** k * geo.grassmann_distance(V, W))
+            tally("grassmann_perturb",
+                  geo.grassmann_distance(gV, geo.grassmann_action(g2, V)),
+                  k * max(nrm, sv2[0]) ** (k - 1)
+                  * max(inv, 1.0 / sv2[-1]) ** k * np.linalg.norm(delta, 2))
+        done += n
     return worst, violations
 
 
-@pytest.mark.parametrize("samples", [300, 1000])
+# 2500 samples span two full blocks and a partial one.
+@pytest.mark.parametrize("samples", [300, 1000, 2500])
 @pytest.mark.parametrize("seed", [0, 5])
 def test_batched_lemma_tallies_match_per_sample_loop(samples, seed):
     worst, violations = ver._lemma_tallies(samples, seed, 3, 2)
