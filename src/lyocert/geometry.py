@@ -179,10 +179,35 @@ def exterior_power(g, k: int) -> np.ndarray:
     return np.linalg.det(g[..., sub[:, None, :, None], sub[None, :, None, :]])
 
 
+def _laplace_terms(d: int, c: int):
+    """Terms of the Laplace expansion of every (c + 1)-minor of a d-row
+    matrix along its last column: for each lex subset I of size c + 1 and
+    each position r, the row I_r, the lex index of the c-subset I minus
+    I_r, and the cofactor sign (-1)^(r + c). Arrays of shape (c + 1, C)."""
+    index = {s: i for i, s in enumerate(_lex_subsets(d, c))}
+    subsets = _lex_subsets(d, c + 1)
+    rows = np.array([[s[r] for s in subsets] for r in range(c + 1)])
+    minors = np.array([[index[s[:r] + s[r + 1:]] for s in subsets]
+                       for r in range(c + 1)])
+    signs = np.array([(-1.0) ** (r + c) for r in range(c + 1)])[:, None]
+    return rows, minors, signs
+
+
 def wedge_vector(basis: np.ndarray) -> np.ndarray:
-    """k-fold wedge of the columns of d x k matrices (..., d, k), lex basis."""
+    """k-fold wedge of the columns of d x k matrices (..., d, k), lex basis.
+
+    Built one column at a time by Laplace expansion along the new column:
+    the wedge of columns 0..c is sum_r (-1)^(r + c) b[I_r, c] times the
+    wedge of columns 0..c-1 at I minus I_r. For k = 2 the entry at (i, j)
+    is b[i, 0] b[j, 1] - b[j, 0] b[i, 1].
+    """
     d, k = basis.shape[-2:]
-    return np.linalg.det(basis[..., np.array(_lex_subsets(d, k)), :])
+    w = basis[..., 0].copy()
+    for c in range(1, k):
+        rows, minors, signs = _laplace_terms(d, c)
+        terms = signs * basis[..., rows, c] * w[..., minors]
+        w = terms.sum(axis=-2)
+    return w
 
 
 def unit_wedge(basis) -> np.ndarray:
@@ -190,13 +215,13 @@ def unit_wedge(basis) -> np.ndarray:
     (..., d, k); ValueError on dependent columns.
 
     The wedge norm is the k-volume of the columns, at most the product of
-    their lengths (Hadamard); columns are dependent when it falls below
-    1e-12 of that product.
+    their lengths (Hadamard); columns are dependent when it is not above
+    1e-12 of that product, which takes in a zero column.
     """
     w = wedge_vector(basis)
     norm = np.linalg.norm(w, axis=-1, keepdims=True)
     lengths = np.prod(np.linalg.norm(basis, axis=-2), axis=-1)
-    if np.any(norm[..., 0] < 1e-12 * lengths):
+    if not np.all(norm[..., 0] > 1e-12 * lengths):
         raise ValueError("basis vectors are linearly dependent")
     return _canonical_sign(w / norm)
 
@@ -218,11 +243,8 @@ class GrassmannPoint:
         d, k = basis.shape
         if not 1 <= k <= d - 1:
             raise ValueError(f"need 1 <= k <= d-1, got k={k}, d={d}")
-        q, r = np.linalg.qr(basis)
-        if np.min(np.abs(np.diag(r))) < 1e-12:
-            raise ValueError("basis vectors are linearly dependent")
-        w = unit_wedge(q)
-        q = np.ascontiguousarray(q)
+        w = unit_wedge(basis)
+        q = np.ascontiguousarray(np.linalg.qr(basis)[0])
         q.setflags(write=False)
         w.setflags(write=False)
         return cls(k=k, d=d, basis=q, wedge=w)

@@ -2,10 +2,13 @@
 
 These are the ground-truth oracles: i.i.d. and Markov-chain driven cocycles,
 top exponent, full spectrum via a QR (Benettin-style) recurrence, and
-exterior-power partial sums. All estimators are deterministic functions of
-(spec, steps, trials, seed); per-trial streams are derived from the master
-seed with a counter split, so each trial's estimate does not depend on the
-others.
+exterior-power partial sums. A single vector (top exponent, partial sums)
+is renormalized by its length every RENORM_INTERVAL steps; a frame of
+several vectors (spectrum) by a QR, at a block length short enough that no
+block product loses its lower directions (block_length). All estimators are
+deterministic functions of (spec, steps, trials, seed); per-trial streams
+are derived from the master seed with a counter split, so each trial's
+estimate does not depend on the others.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ import numpy as np
 from .geometry import MatrixTuple, exterior_power
 
 RENORM_INTERVAL = 16
+# Largest condition number a block product of a multi-vector frame may reach.
+FRAME_CONDITION_LIMIT = 1e12
 DEFAULT_BURNIN = 1000
 
 
@@ -129,18 +134,58 @@ def _draw_indices(spec: CocycleSpec, rngs, n: int) -> np.ndarray:
     return idx.astype(np.int64)
 
 
+def block_length(matrices, n_vectors: int) -> int:
+    """Steps between renormalizations of a frame of n_vectors vectors.
+
+    One vector keeps its direction through any product, so it renormalizes
+    every RENORM_INTERVAL steps. A frame of several vectors keeps its lower
+    directions only while a block product's condition number stays well
+    inside double precision: it takes the largest L <= RENORM_INTERVAL with
+    ecc_max^L <= FRAME_CONDITION_LIMIT, ecc_max the largest eccentricity of
+    the matrices.
+    """
+    if n_vectors == 1:
+        return RENORM_INTERVAL
+    sv = np.linalg.svd(matrices, compute_uv=False)
+    log_ecc = math.log(float(np.max(sv[:, 0] / sv[:, -1])))
+    length = RENORM_INTERVAL
+    while length > 1 and length * log_ecc > math.log(FRAME_CONDITION_LIMIT):
+        length -= 1
+    return length
+
+
+def _renormalize(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal frames of a stack (..., d, n) and the moduli (..., n) of
+    their R-diagonals, diagonal signs folded into the frames.
+
+    One vector is divided by its length, taken as LAPACK's nrm2 takes it:
+    scaled by the largest entry first, so no square overflows. Several
+    vectors take a QR.
+    """
+    if v.shape[-1] == 1:
+        scale = np.maximum.reduce(np.abs(v), axis=-2, keepdims=True)
+        v = v / scale
+        length = np.sqrt(np.add.reduce(v * v, axis=-2, keepdims=True))
+        return v / length, (scale * length)[..., 0, :]
+    q, r = np.linalg.qr(v)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * np.sign(diag)[..., None, :], np.abs(diag)
+
+
 def _run_trials(spec: CocycleSpec, steps: int, trials: int, seed: int,
                 burnin: int, n_vectors: int, matrices) -> np.ndarray:
     """(trials, n_vectors) per-trial exponent estimates, fixed trial order.
 
     Each trial draws its indices, then its initial frame, from its own
-    stream. The steps fall into blocks of RENORM_INTERVAL, with burn-in
-    ending on a block edge, so no block mixes burn-in and accumulation. The
-    product of every block of every trial is built at once, a short block
-    padded with the identity, which multiplies exactly. All trials'
-    orthonormal frames then advance block by block, each followed by a QR
-    renormalization; the per-direction sums of log R-diagonals over the
-    `steps` window after burn-in are the estimates.
+    stream. The steps fall into blocks of block_length(matrices, n_vectors)
+    steps, with burn-in ending on a block edge, so no block mixes burn-in
+    and accumulation. The product of every block of every trial is built at
+    once, a short block padded with the identity, which multiplies exactly.
+    All trials' orthonormal frames then advance block by block, each
+    followed by a renormalization (_renormalize): a division by the length
+    for one vector, a QR for several. The per-direction sums of log lengths
+    (log R-diagonals) over the `steps` window after burn-in are the
+    estimates. The lengths of every block are checked once, after the last.
     """
     if steps < 1 or trials < 1:
         raise ValueError("steps and trials must be >= 1")
@@ -149,29 +194,28 @@ def _run_trials(spec: CocycleSpec, steps: int, trials: int, seed: int,
     idx = _draw_indices(spec, rngs, total)
     mats = np.asarray(matrices)
     d = mats.shape[-1]
+    block = block_length(mats, n_vectors)
     frames = np.linalg.qr(np.array(
         [rng.standard_normal((d, n_vectors)) for rng in rngs]))[0]
-    burnin_starts = np.arange(0, burnin, RENORM_INTERVAL)
-    starts = np.concatenate([burnin_starts,
-                             np.arange(burnin, total, RENORM_INTERVAL)])
+    burnin_starts = np.arange(0, burnin, block)
+    starts = np.concatenate([burnin_starts, np.arange(burnin, total, block)])
     ends = np.append(starts[1:], total)
     # past a block's end, steps take the identity appended to the matrices
     padded = np.concatenate([mats, np.eye(d)[None]])
     products = np.eye(d)
-    for j in range(RENORM_INTERVAL):
+    for j in range(block):
         step = np.where((starts + j < ends)[:, None],
                         idx.T[np.minimum(starts + j, total - 1)], len(mats))
         products = padded[step] @ products
-    logs = np.zeros((trials, n_vectors))
-    for b, product in enumerate(products):
-        q, r = np.linalg.qr(product @ frames)
-        diag = np.diagonal(r, axis1=-2, axis2=-1)
-        if np.any(np.abs(diag) < 1e-300) or not np.all(np.isfinite(diag)):
-            raise NumericOverflowError("frame degenerated during accumulation")
-        if b >= len(burnin_starts):
-            logs += np.log(np.abs(diag))
-        frames = q * np.sign(diag)[..., None, :]
-    return logs / steps
+    lengths = np.empty((len(starts), trials, n_vectors))
+    # a zero or non-finite length leaves NaN frames for the blocks after it;
+    # the check below finds it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for b, product in enumerate(products):
+            frames, lengths[b] = _renormalize(product @ frames)
+    if np.any(lengths < 1e-300) or not np.all(np.isfinite(lengths)):
+        raise NumericOverflowError("frame degenerated during accumulation")
+    return np.log(lengths[len(burnin_starts):]).sum(axis=0) / steps
 
 
 def _mean_stderr(per_trial: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

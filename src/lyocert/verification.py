@@ -12,6 +12,7 @@ import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import certificates as cert
 from . import operator as top
@@ -317,23 +318,27 @@ def _lemma_block(rng: np.random.Generator, n: int, d: int, k: int):
     perturbation scale. rng.standard_normal((n, 3d^2 + 2d + 2dk)), by
     columns: the two rotations of g (2d^2), the two directions (2d), the
     perturbation (d^2) and the two (d, k) bases (2dk).
-    Returns g, the unit directions (n, 2, d), the perturbation scaled to
-    spectral norm 0.1 * scale, that norm, and the bases (n, 2, d, k).
+    Returns g, its singular values (n, d) in descending order, the unit
+    directions (n, 2, d), the perturbation scaled to spectral norm
+    0.1 * scale, that norm, and the bases (n, 2, d, k). g = R1 diag(s) R2
+    with rotations R1, R2, so its singular values are the drawn s; no SVD
+    is taken.
     """
     uniforms = rng.random((n, d + 1))
     normals = rng.standard_normal((n, 3 * d * d + 2 * d + 2 * d * k))
     lo, hi = np.log(SINGULAR_RANGE)
     cols = np.cumsum([2 * d * d, 2 * d, d * d])
     rot, uv, delta, bases = np.split(normals, cols, axis=1)
-    g = matrix_from_draws(lo + (hi - lo) * uniforms[:, :d],
-                          rot.reshape(n, 2, d, d))
+    log_s = lo + (hi - lo) * uniforms[:, :d]
+    g = matrix_from_draws(log_s, rot.reshape(n, 2, d, d))
+    sv = np.sort(np.exp(log_s), axis=1)[:, ::-1]
     uv = uv.reshape(n, 2, d)
     uv /= np.linalg.norm(uv, axis=-1, keepdims=True)
     delta = delta.reshape(n, d, d)
     delta_norm = 0.1 * uniforms[:, d]
     factor = delta_norm / np.linalg.norm(delta, 2, axis=(-2, -1))
     delta *= factor[:, None, None]
-    return g, uv, delta, delta_norm, bases.reshape(n, 2, d, k)
+    return g, sv, uv, delta, delta_norm, bases.reshape(n, 2, d, k)
 
 
 def _lemma_tallies(samples: int, seed: int, d: int, k: int):
@@ -351,8 +356,7 @@ def _lemma_tallies(samples: int, seed: int, d: int, k: int):
     done = 0
     while done < samples:
         n = min(LEMMA_BLOCK, samples - done)
-        g, uv, delta, delta_norm, bases = _lemma_block(rng, n, d, k)
-        sv = np.linalg.svd(g, compute_uv=False)
+        g, sv, uv, delta, delta_norm, bases = _lemma_block(rng, n, d, k)
         nrm, inv = sv[:, 0], 1.0 / sv[:, -1]
         ecc = nrm * inv
         u = uv[:, 0]
@@ -442,6 +446,22 @@ def exterior_norm_identity_check(samples: int = 10_000, seed: int = 1,
     return report
 
 
+def _grid_holder_seminorm(f: np.ndarray, theta: float) -> float:
+    """max over node pairs of |f_i - f_j| / d(i, j)^theta for f on the
+    uniform m-node grid of build_grid, d the Fubini-Study distance.
+
+    Nodes i and i + s (mod m) lie at distance sin(s pi / m) whatever i, and
+    shifts s and m - s give the same pairs, so the seminorm is the max over
+    s = 1..m // 2 of max_i |f_i - f_(i+s)| / sin(s pi / m)^theta.
+    """
+    m = f.shape[-1]
+    half = m // 2
+    shifted = sliding_window_view(np.concatenate([f, f[:half]]), m)[1:]
+    gaps = np.max(np.abs(shifted - f), axis=-1)
+    shifts = np.arange(1, half + 1)
+    return float(np.max(gaps / np.sin(shifts * (math.pi / m)) ** theta))
+
+
 def holder_operator_norm_check(tuple_: MatrixTuple, theta: float,
                                grid_m: int = 200, functions: int = 200,
                                seed: int = 2,
@@ -456,15 +476,9 @@ def holder_operator_norm_check(tuple_: MatrixTuple, theta: float,
     rng = np.random.default_rng(seed)
     grid = top.build_grid(grid_m)
     angles = grid.angles
-    # pairwise Fubini-Study distances between grid nodes (sine of angle gap)
-    dists = np.abs(np.sin(angles[:, None] - angles[None, :]))
-    np.fill_diagonal(dists, 1.0)
-    dtheta = dists ** theta
 
     def holder_norm(f):
-        sup = float(np.max(np.abs(f)))
-        semi = float(np.max(np.abs(f[:, None] - f[None, :]) / dtheta))
-        return sup + semi
+        return float(np.max(np.abs(f))) + _grid_holder_seminorm(f, theta)
 
     worst = 0.0
     violations = 0

@@ -8,6 +8,7 @@ the tracer does not see, would leave the per-layer metrics silently empty.
 from pathlib import Path
 
 import lyocert.operator as op
+import lyocert.oracles as orc
 import lyocert.verification as ver
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -32,3 +33,29 @@ def test_traced_extension_value_makes_one_solve(monkeypatch):
     assert solves[0].parent == pairs[0].ident
     # uninstall() put the unwrapped functions back for the other tests.
     assert not hasattr(op.leading_eigenpair, "__wrapped__")
+
+
+def test_traced_estimators_record_their_sample_counts(monkeypatch):
+    # layers reads samples, steps, trials and burnin from these spans for
+    # verification.lemma_samples_per_s and oracles.frame_steps_per_s.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import tracing
+
+    tracer = tracing.Tracer()
+    layers.install(tracer)
+    try:
+        ver.lemma_sampling_suite(samples=1500)
+        orc.estimate_top_exponent(
+            orc.CocycleSpec.iid(ver.reference_tuple(), (0.5, 0.5)),
+            steps=400, trials=3, seed=0)
+    finally:
+        tracer.uninstall()
+    attrs = {s.name: s.attrs for s in tracer.spans}
+    assert attrs["verification.lemma_sampling_suite"] == {"samples": 1500}
+    assert attrs["oracles.estimate_top_exponent"] == {
+        "steps": 400, "trials": 3, "burnin": orc.DEFAULT_BURNIN}
+    metrics = layers.round_metrics(tracer.spans, checks=0)
+    assert metrics["verification.lemma_samples_per_s"] > 0
+    assert metrics["oracles.frame_steps"] == 3 * (400 + orc.DEFAULT_BURNIN)
+    assert metrics["oracles.frame_steps_per_s"] > 0

@@ -112,6 +112,17 @@ class TestExteriorPower:
         with pytest.raises(geo.InvalidMatrixError):
             geo.exterior_power(np.ones((2, 3, 4)), 1)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_wedge_vector_matches_minor_determinants(self, k):
+        # the Laplace expansion against one np.linalg.det per k x k minor
+        bases = _rng(12).standard_normal((50, 4, k))
+        subsets = list(itertools.combinations(range(4), k))
+        want = np.array([[np.linalg.det(b[list(rows)]) for rows in subsets]
+                         for b in bases])
+        got = geo.wedge_vector(bases)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.abs(want).max()
+
     def test_wedge_vector_matches_action(self):
         rng = _rng(5)
         g = geo.sample_matrix(rng, 4)
@@ -155,12 +166,25 @@ class TestGrassmann:
 
     def test_unit_wedge_of_raw_basis_matches_orthonormalized_plane(self):
         bases = _rng(10).standard_normal((6, 4, 2))
-        want = [geo.GrassmannPoint.from_basis(b).wedge for b in bases]
+        want = [geo.unit_wedge(geo.GrassmannPoint.from_basis(b).basis)
+                for b in bases]
         assert np.max(np.abs(geo.unit_wedge(bases) - want)) <= 1e-14
+
+    def test_accepts_small_independent_basis(self):
+        # dependence is judged relative to the column lengths, not by size
+        b = _rng(0).standard_normal((3, 2))
+        small = geo.GrassmannPoint.from_basis(1e-13 * b)
+        assert np.max(np.abs(small.wedge
+                             - geo.GrassmannPoint.from_basis(b).wedge)) <= 1e-15
+        assert np.allclose(small.basis.T @ small.basis, np.eye(2), atol=1e-12)
+        with pytest.raises(ValueError):
+            geo.GrassmannPoint.from_basis(1e-13 * np.outer(b[:, 0], [1.0, 2.0]))
 
     def test_rejects_rank_deficient_basis(self):
         with pytest.raises(ValueError):
             geo.GrassmannPoint.from_basis(np.ones((3, 2)))
+        with pytest.raises(ValueError):
+            geo.GrassmannPoint.from_basis(np.zeros((3, 1)))
         bases = _rng(11).standard_normal((3, 3, 2))
         bases[1, :, 1] = 2.0 * bases[1, :, 0]
         with pytest.raises(ValueError):

@@ -118,6 +118,54 @@ def test_batched_trials_match_per_trial_loop(case):
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+def test_one_vector_renormalization_matches_qr(d, scale):
+    # a division by the length against the sign-fixed QR of the same
+    # stack; at 1e+-200 every square over- or underflows unless the length
+    # is scaled
+    v = scale * np.random.default_rng(d).standard_normal((16, d, 1))
+    frames, lengths = orc._renormalize(v)
+    q, r = np.linalg.qr(v)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    assert np.max(np.abs(frames - q * np.sign(diag)[..., None, :])) <= 1e-15
+    assert np.max(np.abs(lengths / np.abs(diag) - 1.0)) <= 1e-15
+
+
+def _ill_conditioned_d3_tuple():
+    # two products Q1 diag(100, 1, 0.01) Q2 with random rotations; det = 1
+    rng = np.random.default_rng(1)
+    mats = []
+    for _ in range(2):
+        q1 = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        q2 = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        mats.append(q1 @ np.diag([100.0, 1.0, 0.01]) @ q2)
+    return geo.MatrixTuple.from_matrices(mats)
+
+
+def test_block_length_keeps_block_products_well_conditioned():
+    assert orc.block_length(np.array(REFERENCE.matrices), 1) == 16
+    assert orc.block_length(np.array(REFERENCE.matrices), 2) == 16
+    assert orc.block_length(np.array(_d3_tuple().matrices), 3) == 16
+    ill = _ill_conditioned_d3_tuple()
+    assert orc.block_length(np.array(ill.matrices), 1) == 16
+    block = orc.block_length(np.array(ill.matrices), 3)
+    assert ill.ecc ** block <= 1e12 < ill.ecc ** (block + 1)
+
+
+def test_ill_conditioned_spectrum_sums_to_log_det():
+    # 16-step block products reach condition number 1e64, past which a QR
+    # loses the lower exponents in rounding; det = 1 makes the exact sum 0
+    spec = orc.CocycleSpec.iid(_ill_conditioned_d3_tuple(), (0.4, 0.6))
+    est = orc.estimate_spectrum(spec, steps=3000, trials=4, seed=3,
+                                burnin=500)
+    assert abs(orc.determinant_log_mean(spec)) <= 1e-12
+    assert abs(est.exponents.sum()) <= 1e-6
+    # the exact exponents lie in [log 0.01, log 100] and are distinct
+    assert np.all(np.abs(est.exponents) <= math.log(100.0) + 1e-9)
+    assert est.exponents[1] < est.exponents[0] - 1.0
+
+
 class TestCocycleSpec:
     def test_iid_normalizes_nothing_and_validates(self):
         spec = orc.CocycleSpec.iid(DIAG, [1.0])

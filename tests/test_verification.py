@@ -136,6 +136,28 @@ def test_batched_lemma_tallies_match_per_sample_loop(samples, seed):
         assert abs(worst[name] - w) <= 1e-12 * w, name
 
 
+def test_lemma_singular_values_are_the_drawn_ones():
+    # exp(log_s) against the SVD of g it replaces, over 10^4 draws
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        g, sv = ver._lemma_block(rng, ver.LEMMA_BLOCK, 3, 2)[:2]
+        want = np.linalg.svd(g, compute_uv=False)
+        assert np.max(np.abs(sv / want - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("m", [100, 101])
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_grid_holder_seminorm_matches_all_pairs(m, theta):
+    angles = np.arange(m) * (math.pi / m)
+    dists = np.abs(np.sin(angles[:, None] - angles[None, :]))
+    np.fill_diagonal(dists, 1.0)
+    rng = np.random.default_rng(m)
+    for f in [rng.standard_normal(m), np.cos(2 * angles) + 0.1 * angles]:
+        want = np.max(np.abs(f[:, None] - f[None, :]) / dists ** theta)
+        got = ver._grid_holder_seminorm(f, theta)
+        assert abs(got - want) <= 1e-13 * want
+
+
 def test_batched_exterior_norm_check_matches_per_sample_loop():
     # 1500 samples span a full and a partial block.
     rng = np.random.default_rng(4)
