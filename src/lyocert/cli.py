@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -398,7 +399,8 @@ def cmd_extend(cfg, args):
             f"--z must be JSON [[re, im], ...]: {exc.message}") from exc
     z = np.array([complex(r, i) for r, i in zs])
     grid = top.build_grid(cfg["grid"]["m"])
-    value = top.analytic_extension_value(spec.tuple, z, grid)
+    basis = top.TransferBasis(spec.tuple, grid)
+    value = top.analytic_extension_value(basis, z)
     return EXIT_OK, {
         "z": [[float(c.real), float(c.imag)] for c in z],
         "value": leaf(value, "stationary-functional-extension",
@@ -426,9 +428,9 @@ def cmd_taylor(cfg, args):
                 "flags.rigorousK: the certified extension radius "
                 f"exp({rep.log_r_star_rigorous - math.log(2.0):.6g}) "
                 "underflows to 0; set contour.radius")
-    grid = top.build_grid(cfg["grid"]["m"])
-    coeffs = top.taylor_coefficients(spec.tuple, spec.weights, direction,
-                                     ct["order"], radius, ct["nodes"], grid)
+    basis = top.TransferBasis(spec.tuple, top.build_grid(cfg["grid"]["m"]))
+    coeffs = top.taylor_coefficients(basis, spec.weights, direction,
+                                     ct["order"], radius, ct["nodes"])
     sharp = (top.estimate_sharp_radius(coeffs) if len(coeffs) >= 8
              else {"radius": None, "indeterminate": True})
     report = {
@@ -482,7 +484,8 @@ def cmd_chain(cfg, args):
         lam, REPORT_LEAVES["chainTopExponent"][1], {"stderr": se})
     if spec.tuple.d == 2:
         grid = top.build_grid(min(cfg["grid"]["m"], 600))
-        val = top.chain_extension_value(spec.transition, spec.tuple, grid)
+        val = top.chain_extension_value(spec.transition,
+                                        top.TransferBasis(spec.tuple, grid))
         report["chainOperatorValue"] = leaf(val, "chain-stationary-functional",
                                             {"gridM": grid.m})
     return EXIT_OK, report, None
@@ -572,7 +575,10 @@ COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The lyocert argument parser, built on the first call and then reused;
+    each parse_args call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="lyocert",
         description="Explicit analyticity certificates for Lyapunov "

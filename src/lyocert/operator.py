@@ -1,9 +1,12 @@
 """Discretized projective transfer operators for d = 2 cocycles.
 
 Real, complex-weight, twisted, and chain Markov operators on a uniform
-angular grid over the projective line, stored as CSR matrices. One left
-eigensolve per operator gives the isolated leading eigenvalue mu and its
-left functional eta (mass 1), from which the holomorphic extension, the
+angular grid over the projective line, stored as CSR matrices. Each of them
+is a weighted sum of the same N hat-weight blocks T_i, one per matrix, so a
+TransferBasis holds the blocks and the log stretch phi of one (tuple, grid)
+and every operator on it fills one data array over a fixed CSR pattern. One
+left eigensolve per operator gives the isolated leading eigenvalue mu and
+its left functional eta (mass 1), from which the holomorphic extension, the
 chain value and the contour Taylor coefficients are read; the Neumann
 contraction criterion completes the module.
 """
@@ -72,60 +75,94 @@ def log_stretch_table(tuple_: MatrixTuple, grid: ProjectiveGrid) -> np.ndarray:
     return out
 
 
-def _interpolation_matrix(g: np.ndarray,
-                          grid: ProjectiveGrid) -> scipy.sparse.csr_matrix:
-    """Row-stochastic CSR matrix of the grid dynamics v_j -> g v_j.
+class TransferBasis:
+    """The blocks of which every operator of one (tuple, grid) is a sum.
 
-    The image angle is resolved onto its two neighboring nodes with periodic
-    (period pi) linear hat weights, so rows sum to 1 exactly.
+    Every operator is sum_i diag(z_i e^{s phi_i}) T_i, with T_i the
+    row-stochastic CSR matrix of the grid dynamics v_j -> A_i v_j: the image
+    angle is resolved onto its two neighboring nodes with periodic (period
+    pi) linear hat weights, and exact-zero weights are left out. The basis
+    holds phi (N, m), the T_i, the CSR pattern (indptr, indices) of their
+    sum and the slot in it of each block entry, so that assemble_operator
+    fills one data array and does no sparse arithmetic.
     """
-    m = grid.m
-    img = grid.nodes @ g.T
-    ang = np.mod(np.arctan2(img[:, 1], img[:, 0]), math.pi)
-    u = ang * (m / math.pi)
-    j0 = np.floor(u).astype(int) % m
-    w = u - np.floor(u)
-    rows = np.arange(m)
-    return scipy.sparse.csr_matrix(
-        (np.concatenate([1.0 - w, w]),
-         (np.concatenate([rows, rows]), np.concatenate([j0, (j0 + 1) % m]))),
-        shape=(m, m))
+
+    def __init__(self, tuple_: MatrixTuple, grid: ProjectiveGrid):
+        if tuple_.d != 2:
+            raise ValueError("operator discretization is implemented for "
+                             "d = 2 only")
+        m = grid.m
+        self.tuple = tuple_
+        self.grid = grid
+        self.phi = log_stretch_table(tuple_, grid)
+        self.blocks = []
+        for g in tuple_.matrices:
+            img = grid.nodes @ g.T
+            ang = np.mod(np.arctan2(img[:, 1], img[:, 0]), math.pi)
+            u = ang * (m / math.pi)
+            j0 = np.floor(u).astype(int) % m
+            w = u - np.floor(u)
+            T = scipy.sparse.csr_matrix(
+                (np.column_stack([1.0 - w, w]).ravel(),
+                 np.column_stack([j0, (j0 + 1) % m]).ravel(),
+                 np.arange(0, 2 * m + 1, 2)), shape=(m, m))
+            T.sort_indices()
+            T.eliminate_zeros()
+            self.blocks.append(T)
+        # The pattern, row order included, is that of the sparse sum of the
+        # products I @ T_i. The CSR matvec adds each row in this order, so
+        # M @ x, and every eigensolve of M, has the bits of a sparse sum.
+        unit = scipy.sparse.identity(m, format="csr")
+        pattern = sum(unit @ T for T in self.blocks)
+        self.indptr, self.indices = pattern.indptr, pattern.indices
+        # Stacked block entries, blocks in order 0..N-1: their row is their
+        # index into phi.ravel(), and each has one slot in the pattern.
+        stacked = scipy.sparse.vstack(self.blocks, format="csr")
+        self._gather = np.repeat(np.arange(tuple_.N * m),
+                                 np.diff(stacked.indptr))
+        self._weights = stacked.data
+        keys = np.repeat(np.arange(m), np.diff(self.indptr)) * m + self.indices
+        order = np.argsort(keys)
+        self._slot = order[np.searchsorted(
+            keys, self._gather % m * m + stacked.indices, sorter=order)]
+        for a in (self.phi, self.indptr, self.indices, self._slot,
+                  self._gather, self._weights):
+            a.setflags(write=False)
 
 
-def assemble_operator(tuple_: MatrixTuple, z, grid: ProjectiveGrid,
+def assemble_operator(basis: TransferBasis, z,
                       twist: float = 0.0) -> scipy.sparse.csr_matrix:
     """Weighted (optionally twisted) projective Markov operator, as CSR.
 
     Row j carries sum_i z_i e^{twist * phi(A_i, v_j)} times the hat weights
-    of the image angle of A_i v_j. For real simplex z and twist 0 the result
-    is row-stochastic.
+    of the image angle of A_i v_j, the blocks added in order i = 0..N-1.
+    For real simplex z and twist 0 the result is row-stochastic.
     """
-    if tuple_.d != 2:
-        raise ValueError("operator discretization is implemented for d = 2 only")
+    N = basis.tuple.N
     z = np.asarray(z, dtype=complex)
-    if z.shape != (tuple_.N,):
-        raise ValueError(f"need {tuple_.N} weights, got shape {z.shape}")
+    if z.shape != (N,):
+        raise ValueError(f"need {N} weights, got shape {z.shape}")
     if abs(z.sum() - 1.0) > 1e-12:
         raise ValueError(f"weights must sum to 1, got {z.sum()}")
-    phis = log_stretch_table(tuple_, grid)
-    return sum(scipy.sparse.diags(z[i] * np.exp(twist * phis[i]))
-               @ _interpolation_matrix(g, grid)
-               for i, g in enumerate(tuple_.matrices)).tocsr()
+    scale = z[:, None] * np.exp(twist * basis.phi)
+    data = np.zeros(len(basis.indices), dtype=complex)
+    np.add.at(data, basis._slot, scale.ravel()[basis._gather]
+              * basis._weights)
+    m = basis.grid.m
+    return scipy.sparse.csr_matrix((data, basis.indices, basis.indptr),
+                                   shape=(m, m))
 
 
-def assemble_chain_operator(P, tuple_: MatrixTuple,
-                            grid: ProjectiveGrid) -> scipy.sparse.csr_matrix:
+def assemble_chain_operator(P,
+                            basis: TransferBasis) -> scipy.sparse.csr_matrix:
     """Block operator of the chain-driven cocycle: block (i,j) = P_ij T_{A_j}."""
-    if tuple_.d != 2:
-        raise ValueError("operator discretization is implemented for d = 2 only")
     P = np.asarray(P, dtype=complex)
-    N = tuple_.N
+    N = basis.tuple.N
     if P.shape != (N, N):
         raise ValueError(f"transition matrix must be {N}x{N}")
     if np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:
         raise ValueError("transition rows must sum to 1")
-    blocks = [_interpolation_matrix(g, grid) for g in tuple_.matrices]
-    return scipy.sparse.bmat([[P[i, j] * blocks[j] for j in range(N)]
+    return scipy.sparse.bmat([[P[i, j] * basis.blocks[j] for j in range(N)]
                               for i in range(N)], format="csr")
 
 
@@ -195,21 +232,20 @@ def spectral_gap_measured(M) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Holomorphic extension values.
 
-def analytic_extension_value(tuple_: MatrixTuple, z,
-                             grid: ProjectiveGrid) -> complex:
+def analytic_extension_value(basis: TransferBasis, z) -> complex:
     """lambda~_+(z) = sum_i z_i eta_z(phi(A_i, .)) on the grid.
 
     At real weights eta is the stationary measure, so its rounding-level
     imaginary part is dropped.
     """
-    _, eta = leading_eigenpair(assemble_operator(tuple_, z, grid))
+    _, eta = leading_eigenpair(assemble_operator(basis, z))
     z = np.asarray(z, dtype=complex)
     if np.all(z.imag == 0.0):
         eta = eta.real + 0j
-    return complex(np.dot(z, log_stretch_table(tuple_, grid) @ eta))
+    return complex(np.dot(z, basis.phi @ eta))
 
 
-def lyapunov_via_log_deriv(tuple_: MatrixTuple, p, grid: ProjectiveGrid,
+def lyapunov_via_log_deriv(basis: TransferBasis, p,
                            h: float = 1e-3) -> float:
     """Log-derivative at s = 0 of the twisted leading eigenvalue.
 
@@ -217,35 +253,33 @@ def lyapunov_via_log_deriv(tuple_: MatrixTuple, p, grid: ProjectiveGrid,
     """
     if not 0.0 < h <= 0.1:
         raise ValueError("twist step h must lie in (0, 0.1]")
-    mu_plus, _ = leading_eigenpair(assemble_operator(tuple_, p, grid, twist=h))
-    mu_minus, _ = leading_eigenpair(assemble_operator(tuple_, p, grid, twist=-h))
+    mu_plus, _ = leading_eigenpair(assemble_operator(basis, p, twist=h))
+    mu_minus, _ = leading_eigenpair(assemble_operator(basis, p, twist=-h))
     return float((np.log(mu_plus) - np.log(mu_minus)).real / (2.0 * h))
 
 
-def chain_extension_value(P, tuple_: MatrixTuple, grid: ProjectiveGrid) -> complex:
+def chain_extension_value(P, basis: TransferBasis) -> complex:
     """Chain Furstenberg-Khasminskii value from the block operator.
 
     Uses the leading left functional eta of the block operator, normalized to
     total mass 1; the value is sum_{i,j} P_ij eta_i(phi(A_j, .)).
     """
-    _, eta = leading_eigenpair(assemble_chain_operator(P, tuple_, grid))
-    m = grid.m
+    _, eta = leading_eigenpair(assemble_chain_operator(P, basis))
+    m = basis.grid.m
     P = np.asarray(P, dtype=complex)
-    phis = log_stretch_table(tuple_, grid)
     val = 0.0 + 0.0j
-    for i in range(tuple_.N):
+    for i in range(basis.tuple.N):
         eta_i = eta[i * m:(i + 1) * m]
-        for j in range(tuple_.N):
-            val += P[i, j] * np.dot(eta_i, phis[j])
+        for j in range(basis.tuple.N):
+            val += P[i, j] * np.dot(eta_i, basis.phi[j])
     return complex(val)
 
 
 # ---------------------------------------------------------------------------
 # Contour Taylor coefficients and sharp-radius surrogate.
 
-def taylor_coefficients(tuple_: MatrixTuple, p0, direction, order: int,
-                        contour_radius: float, nodes: int,
-                        grid: ProjectiveGrid) -> np.ndarray:
+def taylor_coefficients(basis: TransferBasis, p0, direction, order: int,
+                        contour_radius: float, nodes: int) -> np.ndarray:
     """Coefficients c_0..c_order of t -> lambda~_+(p0 + t u), |t| = contour_radius.
 
     Trapezoid quadrature of the Cauchy integral with `nodes` equally spaced
@@ -265,7 +299,7 @@ def taylor_coefficients(tuple_: MatrixTuple, p0, direction, order: int,
 
     def _eval(theta):
         z = p0 + contour_radius * np.exp(1j * theta) * u
-        return analytic_extension_value(tuple_, z, grid)
+        return analytic_extension_value(basis, z)
 
     try:
         values = np.array([_eval(t) for t in thetas], dtype=complex)
@@ -309,16 +343,16 @@ def cr_holomorphy_check(evaluator, t0: complex, h: float) -> float:
     return float(abs(dfdx + 1j * dfdy))
 
 
-def neumann_criterion_check(tuple_: MatrixTuple, p0, z, grid: ProjectiveGrid,
-                            rho_star: float, contour_nodes: int = 8) -> float:
+def neumann_criterion_check(basis: TransferBasis, p0, z, rho_star: float,
+                            contour_nodes: int = 8) -> float:
     """max over the isolating circle of ||(P_z - P_p0)(zeta I - P_p0)^{-1}||.
 
     zeta runs over contour_nodes points on |zeta - 1| = rho_star; the value
     reports the Neumann-series contraction factor of the perturbed resolvent.
     """
-    M0 = assemble_operator(tuple_, p0, grid).toarray()
-    Dz = assemble_operator(tuple_, z, grid).toarray() - M0
-    m = grid.m
+    M0 = assemble_operator(basis, p0).toarray()
+    Dz = assemble_operator(basis, z).toarray() - M0
+    m = basis.grid.m
     worst = 0.0
     for q in range(contour_nodes):
         zeta = 1.0 + rho_star * np.exp(2j * math.pi * (q + 0.5) / contour_nodes)

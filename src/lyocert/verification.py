@@ -16,9 +16,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import certificates as cert
 from . import operator as top
-from .geometry import (SINGULAR_RANGE, MatrixTuple, draw_matrix_sample,
-                       exterior_power, fs_distance_vec, matrix_from_draws,
-                       unit_wedge, wedge_distance)
+from .geometry import (SINGULAR_RANGE, MatrixTuple, exterior_power,
+                       fs_distance_vec, matrix_from_draws, unit_wedge,
+                       wedge_distance)
 from .oracles import (CocycleSpec, estimate_markov_exponent,
                       estimate_partial_sum, estimate_spectrum,
                       estimate_top_exponent, lyapunov_gap)
@@ -136,7 +136,7 @@ def check_cauchy_dominance(tuple_: MatrixTuple, p0, theta: float, gap: float,
     """
     report = VerificationReport()
     rep = cert.certify(tuple_, p0, theta, gap)
-    grid = top.build_grid(grid_m)
+    basis = top.TransferBasis(tuple_, top.build_grid(grid_m))
     r_c = contour_radius if contour_radius is not None else rep.r_extension
     Q = nodes if nodes is not None else max(4 * max_order, 16)
     N = tuple_.N
@@ -144,8 +144,7 @@ def check_cauchy_dominance(tuple_: MatrixTuple, p0, theta: float, gap: float,
         u = np.zeros(N)
         u[k], u[k + 1] = 1.0, -1.0
         try:
-            coeffs = top.taylor_coefficients(tuple_, p0, u, max_order, r_c, Q,
-                                             grid)
+            coeffs = top.taylor_coefficients(basis, p0, u, max_order, r_c, Q)
         except top.ContourTooLargeError as exc:
             _check(report, f"cauchy_dominance.direction{k}", False, None,
                    None, "contour", str(exc))
@@ -191,7 +190,8 @@ def boundary_scan(tuple_: MatrixTuple, theta: float, index: int = 0,
     p0 = np.full(N, 1.0 / N) if p0 is None else np.asarray(p0, dtype=float)
     if t_max >= p0[index]:
         raise ValueError("scan must keep p(t) inside the open simplex")
-    grid = top.build_grid(grid_m) if tuple_.d == 2 else None
+    basis = (top.TransferBasis(tuple_, top.build_grid(grid_m))
+             if tuple_.d == 2 else None)
     ts = np.linspace(t_max / steps, t_max, steps)
     rows = []
     direction = -np.ones(N) / (N - 1)
@@ -202,9 +202,9 @@ def boundary_scan(tuple_: MatrixTuple, theta: float, index: int = 0,
         spec = CocycleSpec.iid(tuple_, p)
         gap_hat, gap_se = lyapunov_gap(spec, steps=mc_steps, trials=mc_trials,
                                        seed=seed + k)
-        if grid is not None:
+        if basis is not None:
             rho2, _ = top.spectral_gap_measured(
-                top.assemble_operator(tuple_, p, grid))
+                top.assemble_operator(basis, p))
         else:
             rho2 = float("nan")
         ladder = cert.build_ladder(tuple_, theta, gap_hat)
@@ -263,9 +263,9 @@ def markov_iid_reduction_check(tuple_: MatrixTuple, p, grid_m: int = 400,
     p = np.asarray(p, dtype=float)
     P = np.tile(p, (tuple_.N, 1))
     if tuple_.d == 2:
-        grid = top.build_grid(grid_m)
-        v_iid = top.analytic_extension_value(tuple_, p, grid)
-        v_chain = top.chain_extension_value(P, tuple_, grid)
+        basis = top.TransferBasis(tuple_, top.build_grid(grid_m))
+        v_iid = top.analytic_extension_value(basis, p)
+        v_chain = top.chain_extension_value(P, basis)
         diff = abs(v_chain - v_iid)
         _check(report, "markov_iid.operator", diff <= 1e-8, diff, 0.0,
                "1e-8", f"iid {v_iid}, chain {v_chain}")
@@ -426,16 +426,21 @@ def lemma_sampling_suite(samples: int = 100_000, seed: int = 0,
 
 def exterior_norm_identity_check(samples: int = 10_000, seed: int = 1,
                                  d: int = 4, k: int = 2) -> VerificationReport:
-    """||Lambda^k g||_op equals the product of the top k singular values."""
+    """||Lambda^k g||_op equals the product of the top k singular values.
+
+    Each block of LEMMA_BLOCK samples takes two generator calls, as in
+    _lemma_block; g = R1 diag(s) R2, so its singular values are the drawn s.
+    """
     report = VerificationReport()
     rng = np.random.default_rng(seed)
+    lo, hi = np.log(SINGULAR_RANGE)
     worst = 0.0
     done = 0
     while done < samples:
         n = min(LEMMA_BLOCK, samples - done)
-        log_s, rot = zip(*(draw_matrix_sample(rng, d) for _ in range(n)))
-        g = matrix_from_draws(np.array(log_s), np.array(rot))
-        sv = np.linalg.svd(g, compute_uv=False)
+        log_s = lo + (hi - lo) * rng.random((n, d))
+        g = matrix_from_draws(log_s, rng.standard_normal((n, 2, d, d)))
+        sv = np.sort(np.exp(log_s), axis=1)[:, ::-1]
         lhs = np.linalg.norm(exterior_power(g, k), 2, axis=(-2, -1))
         rhs = np.prod(sv[:, :k], axis=-1)
         worst = max(worst, float(np.max(np.abs(lhs - rhs) / rhs)))
@@ -474,16 +479,15 @@ def holder_operator_norm_check(tuple_: MatrixTuple, theta: float,
     """
     report = VerificationReport()
     rng = np.random.default_rng(seed)
-    grid = top.build_grid(grid_m)
-    angles = grid.angles
+    basis = top.TransferBasis(tuple_, top.build_grid(grid_m))
+    angles = basis.grid.angles
 
     def holder_norm(f):
         return float(np.max(np.abs(f))) + _grid_holder_seminorm(f, theta)
 
     worst = 0.0
     violations = 0
-    for i, g in enumerate(tuple_.matrices):
-        T = top._interpolation_matrix(g, grid)
+    for i, T in enumerate(basis.blocks):
         bound = 1.0 + tuple_.eccentricities[i] ** (2.0 * theta) + slack
         for _ in range(functions // tuple_.N + 1):
             freqs = rng.integers(1, 6, size=3)
@@ -574,7 +578,7 @@ def collapse_scan(tuple_: MatrixTuple, p0, grid_m: int = 200,
     """
     p0 = np.asarray(p0, dtype=float)
     N = tuple_.N
-    grid = top.build_grid(grid_m)
+    basis = top.TransferBasis(tuple_, top.build_grid(grid_m))
     if r_extension is None:
         if theta is None or gap is None:
             raise ValueError("collapse_scan needs r_extension, or theta and "
@@ -590,7 +594,7 @@ def collapse_scan(tuple_: MatrixTuple, p0, grid_m: int = 200,
         for t in radii:
             z = p0 + t * phase * base
             try:
-                top.leading_eigenpair(top.assemble_operator(tuple_, z, grid))
+                top.leading_eigenpair(top.assemble_operator(basis, z))
             except top.EigenvalueCollisionError:
                 found = min(found, float(t))
                 break

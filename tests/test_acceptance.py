@@ -83,8 +83,8 @@ def test_criterion_2_oracle_sanity():
 
 def test_criterion_3_operator_structure():
     problems = []
-    grid = op.build_grid(2000)
-    M = op.assemble_operator(REFERENCE, P0, grid)
+    basis = op.TransferBasis(REFERENCE, op.build_grid(2000))
+    M = op.assemble_operator(basis, P0)
     row_sums = M.sum(axis=1)
     row_err = float(np.max(np.abs(row_sums - 1.0)))
     if row_err > 1e-12:
@@ -94,14 +94,14 @@ def test_criterion_3_operator_structure():
     if abs(mu - 1.0) > 1e-10:
         problems.append(f"mu(p0) = {mu}")
 
-    lam_ext = complex(op.analytic_extension_value(REFERENCE, P0, grid)).real
+    lam_ext = complex(op.analytic_extension_value(basis, P0)).real
     spec = orc.CocycleSpec.iid(REFERENCE, P0)
     lam_mc, se = orc.estimate_top_exponent(spec, steps=20000, trials=12, seed=0)
     if abs(lam_ext - lam_mc) > max(3 * se, 1e-2):
         problems.append(f"extension {lam_ext} vs MC {lam_mc}, se={se}")
 
     h = 1e-3
-    lam_h = op.lyapunov_via_log_deriv(REFERENCE, P0, grid, h=h)
+    lam_h = op.lyapunov_via_log_deriv(basis, P0, h=h)
     if abs(lam_h - lam_ext) > 1e-3 + 10.0 * h * h:
         problems.append(f"twist log-derivative {lam_h} vs extension {lam_ext}")
 
@@ -114,12 +114,12 @@ def test_criterion_3_operator_structure():
 
 def test_criterion_4_holomorphy():
     problems = []
-    grid = op.build_grid(300)
+    basis = op.TransferBasis(REFERENCE, op.build_grid(300))
     u = np.array([1.0, -1.0])
     base = np.array([0.6, 0.4])  # asymmetric base: cubic term is genuine
 
     def evaluator(t: complex) -> complex:
-        return op.analytic_extension_value(REFERENCE, base + t * u, grid)
+        return op.analytic_extension_value(basis, base + t * u)
 
     r_h = op.cr_holomorphy_check(evaluator, 0.0, 1e-3)
     r_h2 = op.cr_holomorphy_check(evaluator, 0.0, 5e-4)
@@ -128,9 +128,8 @@ def test_criterion_4_holomorphy():
         problems.append(f"CR halving ratio {ratio} outside [3, 5]")
 
     t = 1e-4 + 2e-4j
-    f_plus = op.analytic_extension_value(REFERENCE, np.array(P0) + t * u, grid)
-    f_minus = op.analytic_extension_value(
-        REFERENCE, np.array(P0) + np.conj(t) * u, grid)
+    f_plus = op.analytic_extension_value(basis, np.array(P0) + t * u)
+    f_minus = op.analytic_extension_value(basis, np.array(P0) + np.conj(t) * u)
     sym_err = abs(f_minus - np.conj(f_plus))
     if sym_err > 1e-10:
         problems.append(f"conjugation symmetry defect {sym_err}")
@@ -147,10 +146,10 @@ def test_criterion_5_neumann_criterion():
     ladder = cert.build_ladder(REFERENCE, THETA, GAP)
     _, k_sp = cert.resolvent_bound(ladder)
     r_star, _ = cert.polydisc_radius(ladder, k_sp, REFERENCE)
-    grid = op.build_grid(300)
+    basis = op.TransferBasis(REFERENCE, op.build_grid(300))
     u = np.array([1.0, -1.0])
 
-    at_p0 = op.neumann_criterion_check(REFERENCE, P0, np.array(P0), grid,
+    at_p0 = op.neumann_criterion_check(basis, P0, np.array(P0),
                                        ladder.rho_star)
     rng = np.random.default_rng(42)
     worst = 0.0
@@ -159,7 +158,7 @@ def test_criterion_5_neumann_criterion():
              * np.exp(2j * math.pi * rng.random()))
         z = np.array(P0, dtype=complex) + t * u
         worst = max(worst, op.neumann_criterion_check(
-            REFERENCE, P0, z, grid, ladder.rho_star))
+            basis, P0, z, ladder.rho_star))
 
     ok = worst <= 0.35 and at_p0 <= 1e-12
     _report("criterion-5 Neumann criterion", ok,
@@ -177,13 +176,12 @@ def test_criterion_6_cauchy_dominance():
     problems = [f"{c.name}: {c.detail}" for c in failed]
 
     # Order-1 measured magnitude is O(1) while the certified bound is huge.
-    grid = op.build_grid(300)
+    basis = op.TransferBasis(REFERENCE, op.build_grid(300))
     ladder = cert.build_ladder(REFERENCE, THETA, GAP)
     _, k_sp = cert.resolvent_bound(ladder)
     r_star, r_extension = cert.polydisc_radius(ladder, k_sp, REFERENCE)
-    coeffs = op.taylor_coefficients(REFERENCE, P0, [1.0, -1.0], order=4,
-                                    contour_radius=r_extension, nodes=16,
-                                    grid=grid)
+    coeffs = op.taylor_coefficients(basis, P0, [1.0, -1.0], order=4,
+                                    contour_radius=r_extension, nodes=16)
     first = abs(coeffs[1])
     m_star = cert.sup_bound(ladder, k_sp, REFERENCE)
     bound1 = cert.cauchy_bound(m_star, r_star, (1, 0), "example")

@@ -5,6 +5,7 @@ entry points by name. A refactor that renames one of them, or calls a solver
 the tracer does not see, would leave the per-layer metrics silently empty.
 """
 
+from collections import Counter
 from pathlib import Path
 
 import lyocert.operator as op
@@ -22,8 +23,9 @@ def test_traced_extension_value_makes_one_solve(monkeypatch):
     tracer = tracing.Tracer()
     layers.install(tracer)
     try:
-        op.analytic_extension_value(ver.reference_tuple(), [0.5, 0.5],
-                                    op.build_grid(60))
+        op.analytic_extension_value(
+            op.TransferBasis(ver.reference_tuple(), op.build_grid(60)),
+            [0.5, 0.5])
     finally:
         tracer.uninstall()
     solves = [s for s in tracer.spans if s.name in ("scipy.eig", "scipy.eigs")]
@@ -33,6 +35,28 @@ def test_traced_extension_value_makes_one_solve(monkeypatch):
     assert solves[0].parent == pairs[0].ident
     # uninstall() put the unwrapped functions back for the other tests.
     assert not hasattr(op.leading_eigenpair, "__wrapped__")
+
+
+def test_traced_taylor_call_builds_the_log_stretch_table_once(monkeypatch):
+    # operator.assemble_s sums the assemble_operator spans, one per contour
+    # node; the (tuple, grid) work is done once, when the basis is built.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import tracing
+
+    tracer = tracing.Tracer()
+    layers.install(tracer)
+    try:
+        basis = op.TransferBasis(ver.reference_tuple(), op.build_grid(200))
+        op.taylor_coefficients(basis, [0.5, 0.5], [1.0, -1.0], order=2,
+                               contour_radius=1e-4, nodes=8)
+    finally:
+        tracer.uninstall()
+    counts = Counter(s.name for s in tracer.spans)
+    assert counts["operator.log_stretch_table"] == 1
+    assert counts["operator.assemble_operator"] == 8
+    assert counts["operator.leading_eigenpair"] == 8
+    assert counts["scipy.eigs"] == 8
 
 
 def test_traced_estimators_record_their_sample_counts(monkeypatch):

@@ -174,6 +174,27 @@ class TestExitCodes:
                     "--grid-m", "4"]) == cli.EXIT_CONFIG
 
 
+def test_parser_is_built_once_and_namespaces_stay_apart(monkeypatch,
+                                                        capsys):
+    seen = []
+
+    def record(cfg, args):
+        seen.append(args)
+        return cli.EXIT_OK, {}, None
+
+    monkeypatch.setitem(cli.COMMANDS, "verify", record)
+    monkeypatch.setitem(cli.COMMANDS, "certify", record)
+    cli.build_parser.cache_clear()
+    assert cli.main(["verify", "--fast"]) == cli.EXIT_OK
+    assert cli.main(["certify", "--theta", "0.4"]) == cli.EXIT_OK
+    assert cli.main(["verify"]) == cli.EXIT_OK
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert seen[0].fast
+    assert not hasattr(seen[1], "fast") and seen[1].theta == 0.4
+    assert not seen[2].fast and seen[2].theta is None
+
+
 def assert_leaves_have_formula_ids(report):
     def is_leaf(node):
         # extend's report keeps its leaf under a "value" key

@@ -17,6 +17,7 @@ import lyocert.verification as ver
 REFERENCE = ver.reference_tuple()
 P0 = (0.5, 0.5)
 GRID = op.build_grid(200)
+BASIS = op.TransferBasis(REFERENCE, GRID)
 
 
 def _rotation(psi):
@@ -68,7 +69,7 @@ class TestGrid:
 
 class TestAssembly:
     def test_real_weights_give_row_stochastic_matrix(self):
-        M = op.assemble_operator(REFERENCE, P0, GRID).toarray()
+        M = op.assemble_operator(BASIS, P0).toarray()
         assert np.max(np.abs(M.sum(axis=1) - 1.0)) < 1e-12
         assert np.all(M.real >= -1e-15)
 
@@ -78,36 +79,103 @@ class TestAssembly:
         m = 20
         g = op.build_grid(m)
         T = geo.MatrixTuple.from_matrices([_rotation(math.pi / m)])
-        M = op.assemble_operator(T, [1.0], g).toarray().real
+        M = op.assemble_operator(op.TransferBasis(T, g), [1.0]).toarray().real
         assert np.allclose(np.sort(M, axis=1)[:, -1], 1.0, atol=1e-12)
         assert np.allclose(M.sum(axis=0), 1.0, atol=1e-12)
 
     def test_rejects_bad_weights(self):
         with pytest.raises(ValueError):
-            op.assemble_operator(REFERENCE, [0.7, 0.7], GRID)
+            op.assemble_operator(BASIS, [0.7, 0.7])
         with pytest.raises(ValueError):
-            op.assemble_operator(REFERENCE, [1.0], GRID)
+            op.assemble_operator(BASIS, [1.0])
 
     def test_rejects_higher_dimension(self):
         T = geo.MatrixTuple.from_matrices([np.eye(3)])
         with pytest.raises(ValueError):
-            op.assemble_operator(T, [1.0], GRID)
+            op.TransferBasis(T, GRID)
 
     def test_chain_operator_block_structure(self):
         P = [[0.7, 0.3], [0.4, 0.6]]
-        M = op.assemble_chain_operator(P, REFERENCE, GRID)
+        M = op.assemble_chain_operator(P, BASIS)
         assert M.shape == (2 * GRID.m, 2 * GRID.m)
         assert np.max(np.abs(M.sum(axis=1) - 1.0)) < 1e-10
 
     def test_chain_rejects_bad_transition(self):
         with pytest.raises(ValueError):
-            op.assemble_chain_operator([[0.5, 0.6], [0.4, 0.6]],
-                                       REFERENCE, GRID)
+            op.assemble_chain_operator([[0.5, 0.6], [0.4, 0.6]], BASIS)
+
+
+def _reference_block(g, grid):
+    """Hat-weight CSR matrix of v_j -> g v_j, exact-zero weights kept."""
+    m = grid.m
+    img = grid.nodes @ g.T
+    ang = np.mod(np.arctan2(img[:, 1], img[:, 0]), math.pi)
+    u = ang * (m / math.pi)
+    j0 = np.floor(u).astype(int) % m
+    w = u - np.floor(u)
+    rows = np.arange(m)
+    return scipy.sparse.csr_matrix(
+        (np.concatenate([1.0 - w, w]),
+         (np.concatenate([rows, rows]), np.concatenate([j0, (j0 + 1) % m]))),
+        shape=(m, m))
+
+
+def _reference_operator(T, z, grid, twist):
+    """sum_i diag(z_i e^{twist phi_i}) T_i by sparse arithmetic."""
+    z = np.asarray(z, dtype=complex)
+    phis = op.log_stretch_table(T, grid)
+    return sum(scipy.sparse.diags(z[i] * np.exp(twist * phis[i]))
+               @ _reference_block(g, grid)
+               for i, g in enumerate(T.matrices)).tocsr()
+
+
+THREE = geo.MatrixTuple.from_matrices(
+    [geo.sample_matrix(np.random.default_rng(3), 2) for _ in range(3)])
+ALIGNED = geo.MatrixTuple.from_matrices([_rotation(math.pi / 20)])
+
+
+class TestTransferBasis:
+    @pytest.mark.parametrize("T, z, twist, m", [
+        (REFERENCE, P0, 0.0, 200),
+        (REFERENCE, [0.5 + 1e-3j, 0.5 - 1e-3j], 0.0, 601),
+        (REFERENCE, P0, 1e-3, 200),
+        (REFERENCE, [0.5 + 1e-3j, 0.5 - 1e-3j], -1e-3, 200),
+        (THREE, [0.2, 0.3 + 0.01j, 0.5 - 0.01j], 0.0, 90),
+        # every node maps exactly onto a node: half the hat weights are 0
+        (ALIGNED, [1.0], 0.0, 20),
+    ])
+    def test_matches_sparse_sum_of_blocks(self, T, z, twist, m):
+        grid = op.build_grid(m)
+        basis = op.TransferBasis(T, grid)
+        M = op.assemble_operator(basis, z, twist)
+        ref = _reference_operator(T, z, grid, twist)
+        assert np.array_equal(M.toarray(), ref.toarray())
+        assert np.array_equal(M.indptr, ref.indptr)
+        assert np.array_equal(M.indices, ref.indices)
+        assert np.all(M.data != 0)
+        for g, block in zip(T.matrices, basis.blocks):
+            assert np.array_equal(block.toarray(),
+                                  _reference_block(g, grid).toarray())
+            assert np.all(block.data != 0)
+
+    def test_chain_operator_matches_block_matrix(self):
+        P = np.array([[0.7, 0.3], [0.4, 0.6]], dtype=complex)
+        M = op.assemble_chain_operator(P, BASIS)
+        blocks = [_reference_block(g, GRID) for g in REFERENCE.matrices]
+        ref = scipy.sparse.bmat([[P[i, j] * blocks[j] for j in range(2)]
+                                 for i in range(2)], format="csr")
+        assert np.array_equal(M.toarray(), ref.toarray())
+        # the block matrix keeps the exact-zero hat weights as entries
+        assert np.count_nonzero(ref.data == 0) > 0
+        ref.eliminate_zeros()
+        assert np.array_equal(M.indptr, ref.indptr)
+        assert np.array_equal(M.indices, ref.indices)
+        assert np.all(M.data != 0)
 
 
 class TestEigenExtraction:
     def test_leading_eigenvalue_is_one_for_stochastic(self):
-        M = op.assemble_operator(REFERENCE, P0, GRID)
+        M = op.assemble_operator(BASIS, P0)
         mu, eta = op.leading_eigenpair(M)
         assert abs(mu - 1.0) < 1e-10
         assert complex(np.sum(eta)) == pytest.approx(1.0)
@@ -118,7 +186,7 @@ class TestEigenExtraction:
     def test_single_rotation_has_uniform_functional(self):
         # An irrational rotation is uniquely ergodic: eta is uniform.
         T = geo.MatrixTuple.from_matrices([_rotation(1.0)])
-        M = op.assemble_operator(T, [1.0], op.build_grid(64))
+        M = op.assemble_operator(op.TransferBasis(T, op.build_grid(64)), [1.0])
         _, eta = op.leading_eigenpair(M)
         assert np.allclose(eta.real, 1.0 / 64, atol=1e-8)
 
@@ -141,7 +209,7 @@ class TestEigenExtraction:
         # even grid both are nodes, and each carries a stationary measure.
         T = geo.MatrixTuple.from_matrices([np.diag([8.0, 0.125]),
                                            np.diag([4.0, 0.25])])
-        M = op.assemble_operator(T, P0, op.build_grid(m))
+        M = op.assemble_operator(op.TransferBasis(T, op.build_grid(m)), P0)
         calls = []
         eigs = scipy.sparse.linalg.eigs
         monkeypatch.setattr(scipy.sparse.linalg, "eigs",
@@ -169,7 +237,8 @@ class TestEigenExtraction:
             return eigs(counted, *args, **kwargs)
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigs", counting_eigs)
-        M = op.assemble_operator(REFERENCE, z, op.build_grid(2000))
+        M = op.assemble_operator(
+            op.TransferBasis(REFERENCE, op.build_grid(2000)), z)
         op.leading_eigenpair(M)
         assert 0 < len(matvecs) <= 250
 
@@ -182,17 +251,17 @@ class TestEigenExtraction:
     def test_sparse_solve_matches_dense(self, monkeypatch):
         # ARPACK on the CSR operator against LAPACK on the same operator
         # densified, through every public value built on the eigensolve.
-        grid = op.build_grid(90)
+        basis = op.TransferBasis(REFERENCE, op.build_grid(90))
         z = np.array([0.5 + 0.01j, 0.5 - 0.01j])
         P = [[0.7, 0.3], [0.4, 0.6]]
 
         def values():
-            M = op.assemble_operator(REFERENCE, P0, grid)
+            M = op.assemble_operator(basis, P0)
             return [op.leading_eigenpair(M)[0],
                     op.spectral_gap_measured(M)[0],
-                    op.analytic_extension_value(REFERENCE, P0, grid),
-                    op.analytic_extension_value(REFERENCE, z, grid),
-                    op.chain_extension_value(P, REFERENCE, grid)]
+                    op.analytic_extension_value(basis, P0),
+                    op.analytic_extension_value(basis, z),
+                    op.chain_extension_value(P, basis)]
 
         calls = []
         eigs = scipy.sparse.linalg.eigs
@@ -214,7 +283,8 @@ class TestEigenExtraction:
         assert np.max(np.abs(np.subtract(sparse, dense))) <= 1e-12
 
     def test_arpack_no_convergence_falls_back_to_dense(self, monkeypatch):
-        M = op.assemble_operator(REFERENCE, P0, op.build_grid(60))
+        M = op.assemble_operator(
+            op.TransferBasis(REFERENCE, op.build_grid(60)), P0)
         vals = scipy.linalg.eigvals(M.toarray())
         rho2_dense = np.sort(np.abs(vals))[-2]
 
@@ -236,7 +306,8 @@ class TestEigenExtraction:
     def test_measured_gap_reference(self):
         # Grid divisible by 3 aligns with the pi/3 conjugating rotation:
         # rho2 = p_max exactly.
-        M = op.assemble_operator(REFERENCE, P0, op.build_grid(300))
+        M = op.assemble_operator(
+            op.TransferBasis(REFERENCE, op.build_grid(300)), P0)
         rho2, gap = op.spectral_gap_measured(M)
         assert rho2 == pytest.approx(0.5, abs=1e-8)
         assert gap == pytest.approx(0.5, abs=1e-8)
@@ -247,7 +318,7 @@ class TestRandomHyperbolicPairs:
     @given(hyperbolic_pairs(), real_weights, small_grids)
     def test_real_weights_give_stochastic_operator_with_mu_one(self, T, p,
                                                                 m):
-        M = op.assemble_operator(T, p, op.build_grid(m))
+        M = op.assemble_operator(op.TransferBasis(T, op.build_grid(m)), p)
         assert np.max(np.abs(M.sum(axis=1) - 1.0)) < 1e-12
         assert M.toarray().real.min() >= 0.0
         mu, eta = op.leading_eigenpair(M)
@@ -257,16 +328,16 @@ class TestRandomHyperbolicPairs:
     @settings(max_examples=25, deadline=None)
     @given(hyperbolic_pairs(), complex_weights(), small_grids)
     def test_extension_commutes_with_conjugation(self, T, z, m):
-        grid = op.build_grid(m)
-        val = op.analytic_extension_value(T, z, grid)
-        val_conj = op.analytic_extension_value(T, z.conj(), grid)
+        basis = op.TransferBasis(T, op.build_grid(m))
+        val = op.analytic_extension_value(basis, z)
+        val_conj = op.analytic_extension_value(basis, z.conj())
         assert abs(val_conj - val.conjugate()) <= 1e-12 * max(1.0, abs(val))
 
     @settings(max_examples=25, deadline=None)
     @given(hyperbolic_pairs(), st.one_of(real_weights, complex_weights()),
            small_grids)
     def test_left_solve_matches_dense_eig_of_transpose(self, T, z, m):
-        M = op.assemble_operator(T, z, op.build_grid(m))
+        M = op.assemble_operator(op.TransferBasis(T, op.build_grid(m)), z)
         mu, eta = op.leading_eigenpair(M)
         vals, vecs = scipy.linalg.eig(M.T.toarray())
         j = np.argmin(np.abs(vals - mu))
@@ -278,8 +349,8 @@ class TestRandomHyperbolicPairs:
 
 class TestExtensionValues:
     def test_extension_matches_monte_carlo(self):
-        grid = op.build_grid(400)
-        val = complex(op.analytic_extension_value(REFERENCE, P0, grid)).real
+        basis = op.TransferBasis(REFERENCE, op.build_grid(400))
+        val = complex(op.analytic_extension_value(basis, P0)).real
         spec = orc.CocycleSpec.iid(REFERENCE, P0)
         lam, se = orc.estimate_top_exponent(spec, steps=20000, trials=8,
                                             seed=0)
@@ -287,54 +358,54 @@ class TestExtensionValues:
 
     def test_grid_refinement_stability(self):
         vals = [complex(op.analytic_extension_value(
-            REFERENCE, P0, op.build_grid(m))).real for m in (200, 400, 800)]
+            op.TransferBasis(REFERENCE, op.build_grid(m)), P0)).real
+                for m in (200, 400, 800)]
         assert abs(vals[2] - vals[1]) <= abs(vals[1] - vals[0]) + 1e-6
         assert abs(vals[2] - vals[1]) < 1e-3
 
     def test_log_deriv_matches_extension(self):
-        grid = op.build_grid(400)
-        val = complex(op.analytic_extension_value(REFERENCE, P0, grid)).real
-        ld = op.lyapunov_via_log_deriv(REFERENCE, P0, grid, h=1e-3)
+        basis = op.TransferBasis(REFERENCE, op.build_grid(400))
+        val = complex(op.analytic_extension_value(basis, P0)).real
+        ld = op.lyapunov_via_log_deriv(basis, P0, h=1e-3)
         assert ld == pytest.approx(val, abs=1e-3)
 
     def test_log_deriv_rejects_bad_step(self):
         with pytest.raises(ValueError):
-            op.lyapunov_via_log_deriv(REFERENCE, P0, GRID, h=0.0)
+            op.lyapunov_via_log_deriv(BASIS, P0, h=0.0)
 
     def test_chain_extension_identical_rows_reduces_to_iid(self):
         P = [[0.5, 0.5], [0.5, 0.5]]
-        chain_val = op.chain_extension_value(P, REFERENCE, GRID).real
-        iid_val = complex(op.analytic_extension_value(REFERENCE, P0,
-                                                      GRID)).real
+        chain_val = op.chain_extension_value(P, BASIS).real
+        iid_val = complex(op.analytic_extension_value(BASIS, P0)).real
         assert chain_val == pytest.approx(iid_val, abs=1e-8)
 
 
 class TestTaylorCoefficients:
     def test_c0_is_extension_value(self):
-        c = op.taylor_coefficients(REFERENCE, P0, [1.0, -1.0], order=2,
-                                   contour_radius=1e-4, nodes=8, grid=GRID)
-        base = op.analytic_extension_value(REFERENCE, P0, GRID)
+        c = op.taylor_coefficients(BASIS, P0, [1.0, -1.0], order=2,
+                                   contour_radius=1e-4, nodes=8)
+        base = op.analytic_extension_value(BASIS, P0)
         assert abs(c[0] - base) < 1e-10
 
     def test_c1_matches_finite_difference(self):
         h = 1e-5
         u = np.array([1.0, -1.0])
         f = lambda t: complex(op.analytic_extension_value(
-            REFERENCE, np.array(P0) + t * u, GRID)).real
+            BASIS, np.array(P0) + t * u)).real
         fd = (f(h) - f(-h)) / (2 * h)
-        c = op.taylor_coefficients(REFERENCE, P0, u, order=2,
-                                   contour_radius=1e-4, nodes=8, grid=GRID)
+        c = op.taylor_coefficients(BASIS, P0, u, order=2,
+                                   contour_radius=1e-4, nodes=8)
         assert c[1].real == pytest.approx(fd, abs=1e-5 + 1e-3 * abs(fd))
 
     def test_rejects_non_zero_sum_direction(self):
         with pytest.raises(ValueError):
-            op.taylor_coefficients(REFERENCE, P0, [1.0, 0.0], order=2,
-                                   contour_radius=1e-4, nodes=8, grid=GRID)
+            op.taylor_coefficients(BASIS, P0, [1.0, 0.0], order=2,
+                                   contour_radius=1e-4, nodes=8)
 
     def test_rejects_too_few_nodes(self):
         with pytest.raises(ValueError):
-            op.taylor_coefficients(REFERENCE, P0, [1.0, -1.0], order=4,
-                                   contour_radius=1e-4, nodes=8, grid=GRID)
+            op.taylor_coefficients(BASIS, P0, [1.0, -1.0], order=4,
+                                   contour_radius=1e-4, nodes=8)
 
 
 class TestSharpRadius:
@@ -372,8 +443,7 @@ class TestHolomorphyChecks:
 
     def test_residual_scales_quadratically_for_smooth_f(self):
         f = lambda t: complex(op.analytic_extension_value(
-            REFERENCE, np.array([0.6, 0.4]) + t * np.array([1.0, -1.0]),
-            GRID))
+            BASIS, np.array([0.6, 0.4]) + t * np.array([1.0, -1.0])))
         r1 = op.cr_holomorphy_check(f, 0.0, 1e-3)
         r2 = op.cr_holomorphy_check(f, 0.0, 5e-4)
         assert 3.0 <= r1 / r2 <= 5.0
@@ -385,19 +455,18 @@ class TestHolomorphyChecks:
 
 class TestNeumannCheck:
     def test_zero_at_base_point(self):
-        val = op.neumann_criterion_check(REFERENCE, P0, np.array(P0), GRID,
+        val = op.neumann_criterion_check(BASIS, P0, np.array(P0),
                                          rho_star=1e-3)
         assert val == pytest.approx(0.0, abs=1e-14)
 
     def test_small_for_small_perturbation(self):
         z = np.array([0.5 + 1e-5, 0.5 - 1e-5], dtype=complex)
-        val = op.neumann_criterion_check(REFERENCE, P0, z, GRID,
-                                         rho_star=1e-3)
+        val = op.neumann_criterion_check(BASIS, P0, z, rho_star=1e-3)
         assert 0.0 < val < 0.25
 
     def test_grows_with_perturbation(self):
         z1 = np.array([0.5 + 1e-5, 0.5 - 1e-5], dtype=complex)
         z2 = np.array([0.5 + 1e-3, 0.5 - 1e-3], dtype=complex)
-        v1 = op.neumann_criterion_check(REFERENCE, P0, z1, GRID, rho_star=1e-3)
-        v2 = op.neumann_criterion_check(REFERENCE, P0, z2, GRID, rho_star=1e-3)
+        v1 = op.neumann_criterion_check(BASIS, P0, z1, rho_star=1e-3)
+        v2 = op.neumann_criterion_check(BASIS, P0, z2, rho_star=1e-3)
         assert v2 > v1

@@ -159,14 +159,19 @@ def test_grid_holder_seminorm_matches_all_pairs(m, theta):
 
 
 def test_batched_exterior_norm_check_matches_per_sample_loop():
-    # 1500 samples span a full and a partial block.
+    # 1500 samples span a full and a partial block, each drawn with two
+    # generator calls; g = R1 diag(s) R2 has the drawn s as singular values.
     rng = np.random.default_rng(4)
+    lo, hi = np.log(geo.SINGULAR_RANGE)
     want = 0.0
-    for _ in range(1500):
-        g = geo.sample_matrix(rng, 4)
-        sv = geo.singular_values(g)
-        lhs = np.linalg.norm(geo.exterior_power(g, 2), 2)
-        want = max(want, abs(lhs - np.prod(sv[:2])) / np.prod(sv[:2]))
+    for n in (1000, 500):
+        log_s = lo + (hi - lo) * rng.random((n, 4))
+        normals = rng.standard_normal((n, 2, 4, 4))
+        for ls, rot in zip(log_s, normals):
+            g = geo.matrix_from_draws(ls, rot)
+            top2 = np.prod(np.sort(np.exp(ls))[::-1][:2])
+            lhs = np.linalg.norm(geo.exterior_power(g, 2), 2)
+            want = max(want, abs(lhs - top2) / top2)
     rep = ver.exterior_norm_identity_check(samples=1500, seed=4)
     assert rep.checks[0].measured == want
 
