@@ -253,28 +253,29 @@ def validate_c_geom(tuple_: MatrixTuple, rho: float, samples: int = 100_000,
                     seed: int = 0) -> int:
     """Sampled safety net for c_geom: d_FS(g[v], g'[v]) <= C ||g - g'||.
 
-    Raises ConstantValidationError on any violation; returns the sample
-    count on success.
+    Raises ConstantValidationError on the first violation; returns the
+    sample count on success. Each matrix draws its samples as one stack:
+    the directions, then the perturbations Delta, then ||Delta|| / rho.
     """
     rng = np.random.default_rng(seed)
     d = tuple_.d
-    per_matrix = max(1, samples // tuple_.N)
-    checked = 0
+    n = max(1, samples // tuple_.N)
     for m, op, inv in zip(tuple_.matrices, tuple_.operator_norms,
                           tuple_.inverse_norms):
         C = c_geom(op, inv, rho)
-        vs = sample_directions(rng, per_matrix, d)
-        for v in vs:
-            delta = rng.standard_normal((d, d))
-            delta *= rho * rng.random() / max(np.linalg.norm(delta, 2), 1e-300)
-            g2 = m + delta
-            lhs = fs_distance_vec(m @ v, g2 @ v)
-            rhs = C * np.linalg.norm(delta, 2)
-            if lhs > rhs + 1e-12:
-                raise ConstantValidationError(
-                    f"c_geom violated: {lhs} > {rhs} at rho = {rho}")
-            checked += 1
-    return checked
+        v = sample_directions(rng, n, d)[..., None]
+        delta = rng.standard_normal((n, d, d))
+        scale = rho * rng.random(n) / np.maximum(
+            np.linalg.norm(delta, 2, axis=(-2, -1)), 1e-300)
+        delta *= scale[:, None, None]
+        lhs = fs_distance_vec((m @ v)[..., 0], ((m + delta) @ v)[..., 0])
+        rhs = C * np.linalg.norm(delta, 2, axis=(-2, -1))
+        bad = np.flatnonzero(lhs > rhs + 1e-12)
+        if bad.size:
+            i = bad[0]
+            raise ConstantValidationError(
+                f"c_geom violated: {lhs[i]} > {rhs[i]} at rho = {rho}")
+    return n * tuple_.N
 
 
 def joint_radii(tuple_: MatrixTuple, theta: float, K_star: float,

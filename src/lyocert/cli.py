@@ -409,10 +409,19 @@ def cmd_extend(cfg, args):
     }, None
 
 
-def cmd_taylor(cfg, args):
+def moving_weights_spec(cfg: dict, command: str) -> CocycleSpec:
+    """The iid cocycle of a command that moves weight from one matrix to
+    the others, so needs at least two matrices."""
     spec = cocycle_from_config(cfg)
     if spec.kind != "iid":
-        raise ConfigError("taylor requires iid weights")
+        raise ConfigError(f"{command} requires iid weights")
+    if spec.tuple.N < 2:
+        raise ConfigError(f"{command} needs at least two matrices")
+    return spec
+
+
+def cmd_taylor(cfg, args):
+    spec = moving_weights_spec(cfg, "taylor")
     rep, _ = build_certificate(cfg, spec, cfg["theta"])
     ct = cfg["contour"]
     N = spec.tuple.N
@@ -450,9 +459,7 @@ def cmd_taylor(cfg, args):
 
 
 def cmd_scan_boundary(cfg, args):
-    spec = cocycle_from_config(cfg)
-    if spec.kind != "iid":
-        raise ConfigError("scan-boundary requires iid weights")
+    spec = moving_weights_spec(cfg, "scan-boundary")
     b = cfg["boundary"]
     if b["index"] >= spec.tuple.N:
         raise ConfigError(f"boundary.index {b['index']} needs an index "
@@ -549,8 +556,9 @@ def cmd_verify(cfg, args):
     _run_checks(report, ver.exterior_norm_identity_check,
                 samples=max(samples // 10, 1000), seed=seed + 1)
     _run_checks(report, ver.resolvent_identity_check, seed=seed + 2)
-    _run_checks(report, ver.holder_operator_norm_check, spec.tuple,
-                cfg["theta"], grid_m=min(grid_m, 200))
+    if spec.tuple.d == 2:
+        _run_checks(report, ver.holder_operator_norm_check, spec.tuple,
+                    cfg["theta"], grid_m=min(grid_m, 200))
     if spec.tuple.d == 2 and spec.kind == "iid":
         gap, _ = resolve_gap(cfg, spec)
         _run_checks(report, ver.check_cauchy_dominance, spec.tuple,

@@ -1,13 +1,14 @@
 """Matrices, projective and Grassmannian geometry, exterior powers.
 
-Everything here is pure: the types are frozen after construction and the
-operations allocate fresh arrays.
+Everything here is pure: MatrixTuple is frozen after construction and the
+operations allocate fresh arrays. Points of projective space and of
+Gr(k, d) are stacks of vectors and of unit wedges, measured by
+fs_distance_vec and wedge_distance.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,18 +23,6 @@ def _as_matrix(g) -> np.ndarray:
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise InvalidMatrixError(f"expected a square matrix, got shape {g.shape}")
     return g
-
-
-def singular_values(g) -> np.ndarray:
-    return np.linalg.svd(_as_matrix(g), compute_uv=False)
-
-
-def eccentricity(g) -> float:
-    """Condition number sigma_1/sigma_d in the spectral norm (>= 1)."""
-    s = singular_values(g)
-    if s[-1] <= 0.0:
-        raise InvalidMatrixError("matrix is singular")
-    return float(s[0] / s[-1])
 
 
 @dataclass(frozen=True)
@@ -90,49 +79,6 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
     return np.where((lead < 0) & nz.any(axis=-1, keepdims=True), -v, v)
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
-    """A point of real projective space, stored as a canonical unit vector.
-
-    The representative has unit norm and positive first nonzero coordinate,
-    which makes equality and interpolation well-defined.
-    """
-
-    vector: np.ndarray
-
-    @classmethod
-    def from_vector(cls, v) -> "ProjectivePoint":
-        v = np.asarray(v, dtype=float)
-        n = np.linalg.norm(v)
-        if n == 0.0 or not np.isfinite(n):
-            raise ValueError("cannot projectivize the zero vector")
-        v = _canonical_sign(v / n)
-        v.setflags(write=False)
-        return cls(v)
-
-    @classmethod
-    def from_angle(cls, phi: float) -> "ProjectivePoint":
-        # d = 2 convenience: the line at angle phi (mod pi).
-        return cls.from_vector([math.cos(phi), math.sin(phi)])
-
-    @property
-    def d(self) -> int:
-        return self.vector.shape[0]
-
-    @property
-    def angle(self) -> float:
-        if self.d != 2:
-            raise ValueError("angle is defined only for d = 2")
-        return float(math.atan2(self.vector[1], self.vector[0]) % math.pi)
-
-
-def fs_distance(u: ProjectivePoint, v: ProjectivePoint) -> float:
-    """Fubini-Study distance ||u ^ v|| / (||u|| ||v||); |sin(angle)| for d = 2."""
-    if u.d != v.d:
-        raise ValueError("dimension mismatch")
-    return fs_distance_vec(u.vector, v.vector)
-
-
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """np.dot over the last axis of two stacks (..., d), pair by pair."""
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
@@ -146,17 +92,6 @@ def fs_distance_vec(u: np.ndarray, v: np.ndarray):
     # ||u ^ v||^2 = ||u||^2 ||v||^2 - <u, v>^2
     sq = np.maximum(nu * nu * nv * nv - dot * dot, 0.0)
     return np.sqrt(sq) / (nu * nv)
-
-
-def projective_action(g, v: ProjectivePoint) -> ProjectivePoint:
-    g = _as_matrix(g)
-    return ProjectivePoint.from_vector(g @ v.vector)
-
-
-def log_norm_phi(g, v: ProjectivePoint) -> float:
-    """One-step log stretch phi(g, [v]) = log(||g v|| / ||v||) at unit v."""
-    g = _as_matrix(g)
-    return float(np.log(np.linalg.norm(g @ v.vector)))
 
 
 def _lex_subsets(d: int, k: int):
@@ -226,46 +161,11 @@ def unit_wedge(basis) -> np.ndarray:
     return _canonical_sign(w / norm)
 
 
-@dataclass(frozen=True)
-class GrassmannPoint:
-    """A k-plane in R^d: an orthonormal basis plus its unit wedge vector."""
-
-    k: int
-    d: int
-    basis: np.ndarray  # (d, k), orthonormal columns
-    wedge: np.ndarray  # (C(d, k),), unit norm, sign canonicalized
-
-    @classmethod
-    def from_basis(cls, basis) -> "GrassmannPoint":
-        basis = np.asarray(basis, dtype=float)
-        if basis.ndim != 2:
-            raise ValueError("basis must be a d x k matrix of column vectors")
-        d, k = basis.shape
-        if not 1 <= k <= d - 1:
-            raise ValueError(f"need 1 <= k <= d-1, got k={k}, d={d}")
-        w = unit_wedge(basis)
-        q = np.ascontiguousarray(np.linalg.qr(basis)[0])
-        q.setflags(write=False)
-        w.setflags(write=False)
-        return cls(k=k, d=d, basis=q, wedge=w)
-
-
-def grassmann_distance(V: GrassmannPoint, W: GrassmannPoint) -> float:
-    """Chordal Fubini-Study distance min_sign ||v_V -/+ v_W|| on Gr(k, d)."""
-    if (V.k, V.d) != (W.k, W.d):
-        raise ValueError("mismatched (k, d)")
-    return float(wedge_distance(V.wedge, W.wedge))
-
-
 def wedge_distance(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """min_sign ||v -/+ w|| over the last axis of two stacks of unit wedges."""
+    """Chordal Fubini-Study distance on Gr(k, d): min_sign ||v -/+ w|| over
+    the last axis of two stacks of unit wedges."""
     return np.minimum(np.linalg.norm(v - w, axis=-1),
                       np.linalg.norm(v + w, axis=-1))
-
-
-def grassmann_action(g, V: GrassmannPoint) -> GrassmannPoint:
-    g = _as_matrix(g)
-    return GrassmannPoint.from_basis(g @ V.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -281,27 +181,24 @@ def sample_directions(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
 SINGULAR_RANGE = (0.2, 5.0)
 
 
-def draw_matrix_sample(rng: np.random.Generator, d: int,
-                       s_range=SINGULAR_RANGE) -> tuple[np.ndarray, np.ndarray]:
-    """The random draws of one sample_matrix call, in stream order: d
-    log-uniform log singular values, then the normals of the two rotations."""
-    lo, hi = np.log(s_range[0]), np.log(s_range[1])
-    return rng.uniform(lo, hi, size=d), rng.standard_normal((2, d, d))
-
-
-def matrix_from_draws(log_s: np.ndarray, normals: np.ndarray) -> np.ndarray:
-    """R1 diag(s) R2 from draw_matrix_sample outputs, stacked on leading axes:
-    log_s (..., d) and normals (..., 2, d, d) give sign-fixed QR rotations."""
+def matrix_law(uniforms: np.ndarray, normals: np.ndarray):
+    """The law of sample_matrix, stacked on leading axes: uniforms (..., d)
+    in [0, 1) give log singular values uniform over log SINGULAR_RANGE, and
+    normals (..., 2, d, d) the sign-fixed QR rotations R1, R2. Returns
+    g = R1 diag(s) R2 and its singular values, the drawn s in descending
+    order; no SVD is taken."""
+    lo, hi = np.log(SINGULAR_RANGE)
+    s = np.exp(lo + (hi - lo) * uniforms)
     q, r = np.linalg.qr(normals)
     rot = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
-    return (rot[..., 0, :, :] * np.exp(log_s)[..., None, :]) @ rot[..., 1, :, :]
+    g = (rot[..., 0, :, :] * s[..., None, :]) @ rot[..., 1, :, :]
+    return g, np.sort(s, axis=-1)[..., ::-1]
 
 
-def sample_matrix(rng: np.random.Generator, d: int,
-                  s_range=SINGULAR_RANGE) -> np.ndarray:
+def sample_matrix(rng: np.random.Generator, d: int) -> np.ndarray:
     """R1 diag(s) R2 with random rotations and log-uniform singular values.
 
     Covers the eccentricity range up to (s_max/s_min) without degenerate
-    input.
+    input. Draws d uniforms, then the normals of the two rotations.
     """
-    return matrix_from_draws(*draw_matrix_sample(rng, d, s_range))
+    return matrix_law(rng.random(d), rng.standard_normal((2, d, d)))[0]

@@ -16,9 +16,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import certificates as cert
 from . import operator as top
-from .geometry import (SINGULAR_RANGE, MatrixTuple, exterior_power,
-                       fs_distance_vec, matrix_from_draws, unit_wedge,
-                       wedge_distance)
+from .geometry import (MatrixTuple, exterior_power, fs_distance_vec,
+                       matrix_law, unit_wedge, wedge_distance)
 from .oracles import (CocycleSpec, estimate_markov_exponent,
                       estimate_partial_sum, estimate_spectrum,
                       estimate_top_exponent, lyapunov_gap)
@@ -313,25 +312,19 @@ LEMMA_BLOCK = 1000
 def _lemma_block(rng: np.random.Generator, n: int, d: int, k: int):
     """Draws of n lemma samples, two generator calls per block.
 
-    rng.random((n, d + 1)): d uniforms for the log singular values of g
-    (log-uniform over SINGULAR_RANGE, as in draw_matrix_sample), then the
-    perturbation scale. rng.standard_normal((n, 3d^2 + 2d + 2dk)), by
+    rng.random((n, d + 1)): d uniforms for the singular values of g (see
+    geometry.matrix_law), then the perturbation scale. rng.standard_normal((n, 3d^2 + 2d + 2dk)), by
     columns: the two rotations of g (2d^2), the two directions (2d), the
     perturbation (d^2) and the two (d, k) bases (2dk).
     Returns g, its singular values (n, d) in descending order, the unit
     directions (n, 2, d), the perturbation scaled to spectral norm
-    0.1 * scale, that norm, and the bases (n, 2, d, k). g = R1 diag(s) R2
-    with rotations R1, R2, so its singular values are the drawn s; no SVD
-    is taken.
+    0.1 * scale, that norm, and the bases (n, 2, d, k).
     """
     uniforms = rng.random((n, d + 1))
     normals = rng.standard_normal((n, 3 * d * d + 2 * d + 2 * d * k))
-    lo, hi = np.log(SINGULAR_RANGE)
     cols = np.cumsum([2 * d * d, 2 * d, d * d])
     rot, uv, delta, bases = np.split(normals, cols, axis=1)
-    log_s = lo + (hi - lo) * uniforms[:, :d]
-    g = matrix_from_draws(log_s, rot.reshape(n, 2, d, d))
-    sv = np.sort(np.exp(log_s), axis=1)[:, ::-1]
+    g, sv = matrix_law(uniforms[:, :d], rot.reshape(n, 2, d, d))
     uv = uv.reshape(n, 2, d)
     uv /= np.linalg.norm(uv, axis=-1, keepdims=True)
     delta = delta.reshape(n, d, d)
@@ -410,7 +403,7 @@ def lemma_sampling_suite(samples: int = 100_000, seed: int = 0,
     two generator calls per block (see _lemma_block). The stream is laid
     out per block, so changing LEMMA_BLOCK changes the samples. g' = g +
     Delta with ||Delta|| <= 0.1 stays invertible: sigma_min(g) >= 0.2 under
-    sample_matrix's law, which g follows.
+    geometry.matrix_law, which g follows.
     """
     report = VerificationReport()
     k = 2 if d >= 3 else 1
@@ -429,18 +422,16 @@ def exterior_norm_identity_check(samples: int = 10_000, seed: int = 1,
     """||Lambda^k g||_op equals the product of the top k singular values.
 
     Each block of LEMMA_BLOCK samples takes two generator calls, as in
-    _lemma_block; g = R1 diag(s) R2, so its singular values are the drawn s.
+    _lemma_block; geometry.matrix_law gives g and its singular values.
     """
     report = VerificationReport()
     rng = np.random.default_rng(seed)
-    lo, hi = np.log(SINGULAR_RANGE)
     worst = 0.0
     done = 0
     while done < samples:
         n = min(LEMMA_BLOCK, samples - done)
-        log_s = lo + (hi - lo) * rng.random((n, d))
-        g = matrix_from_draws(log_s, rng.standard_normal((n, 2, d, d)))
-        sv = np.sort(np.exp(log_s), axis=1)[:, ::-1]
+        g, sv = matrix_law(rng.random((n, d)),
+                           rng.standard_normal((n, 2, d, d)))
         lhs = np.linalg.norm(exterior_power(g, k), 2, axis=(-2, -1))
         rhs = np.prod(sv[:, :k], axis=-1)
         worst = max(worst, float(np.max(np.abs(lhs - rhs) / rhs)))

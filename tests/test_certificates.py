@@ -149,6 +149,12 @@ class TestGeometricConstants:
                                        seed=0)
         assert checked == 20000  # zero violations, all samples checked
 
+    def test_validate_c_geom_raises_on_a_violation(self, monkeypatch):
+        monkeypatch.setattr(cert, "c_geom", lambda *args: 0.0)
+        with pytest.raises(cert.ConstantValidationError,
+                           match=r"c_geom violated: \S+ > 0\.0 at rho = 0\.01"):
+            cert.validate_c_geom(REFERENCE, rho=0.01, samples=100, seed=0)
+
     def test_k_mat_positive(self):
         assert cert.k_mat(REFERENCE, 0.01, THETA) > 0.0
 

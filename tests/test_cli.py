@@ -336,6 +336,19 @@ class TestOtherCommands:
                         str(path)]) == cli.EXIT_CONFIG
             assert "boundary.index 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["taylor", "scan-boundary"])
+    def test_one_matrix_tuple_is_config_error(self, command, tmp_path,
+                                              reference_cfg, capsys):
+        cfg = copy.deepcopy(reference_cfg)
+        cfg["matrices"] = cfg["matrices"][:1]
+        cfg["weights"] = [1.0]
+        cfg["contour"]["direction"] = None
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(cfg))
+        assert run([command, "--config", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: {command} needs at least two matrices\n")
+
     def test_taylor(self, tmp_path):
         code, report = run_json(["taylor", "--grid-m", "100"], tmp_path)
         assert code == cli.EXIT_OK
@@ -363,6 +376,23 @@ class TestOtherCommands:
         code, report = run_json(["verify", "--fast"], tmp_path)
         assert code == cli.EXIT_OK
         assert report["passed"] is True
+
+    def test_verify_fast_on_d3_skips_the_operator_checks(
+            self, tmp_path, reference_cfg):
+        cfg = copy.deepcopy(reference_cfg)
+        rng = np.random.default_rng(2)
+        cfg["dimension"] = 3
+        cfg["matrices"] = [geo.sample_matrix(rng, 3).tolist()
+                           for _ in range(2)]
+        path = tmp_path / "d3.json"
+        path.write_text(json.dumps(cfg))
+        code, report = run_json(["verify", "--fast", "--config", str(path)],
+                                tmp_path)
+        assert code == cli.EXIT_OK
+        names = {c["name"] for c in report["checks"]}
+        assert {n.split(".")[0] for n in names} == {
+            "lemma", "appendix", "reference"}
+        assert "lemma.transfer_norm_bound" not in names
 
     def test_verify_runtime_is_the_producer_call_time(self, tmp_path):
         _, report = run_json(["verify", "--fast"], tmp_path)

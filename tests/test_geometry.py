@@ -53,14 +53,14 @@ class TestMatrixTuple:
 
 class TestProjective:
     def test_canonical_sign_identifies_antipodes(self):
-        u = geo.ProjectivePoint.from_vector([1.0, 2.0])
-        v = geo.ProjectivePoint.from_vector([-1.0, -2.0])
-        assert np.allclose(u.vector, v.vector)
+        u = geo.unit_wedge(np.array([[1.0], [2.0]]))
+        v = geo.unit_wedge(np.array([[-1.0], [-2.0]]))
+        assert np.allclose(u, v)
 
     def test_fs_distance_is_sine_of_angle(self):
-        u = geo.ProjectivePoint.from_angle(0.0)
-        v = geo.ProjectivePoint.from_angle(0.3)
-        assert geo.fs_distance(u, v) == pytest.approx(math.sin(0.3))
+        u = np.array([math.cos(0.0), math.sin(0.0)])
+        v = np.array([math.cos(0.3), math.sin(0.3)])
+        assert geo.fs_distance_vec(u, v) == pytest.approx(math.sin(0.3))
 
     def test_fs_distance_range(self):
         rng = _rng(1)
@@ -69,16 +69,12 @@ class TestProjective:
             d = geo.fs_distance_vec(a, b)
             assert 0.0 <= d <= 1.0 + 1e-12
 
-    def test_projective_action_rotation(self):
+    def test_rotation_acts_on_lines(self):
         c, s = math.cos(0.4), math.sin(0.4)
-        g = [[c, -s], [s, c]]
-        v = geo.ProjectivePoint.from_angle(0.1)
-        assert geo.projective_action(g, v).angle == pytest.approx(0.5)
-
-    def test_log_norm_phi_diagonal(self):
-        v = geo.ProjectivePoint.from_vector([1.0, 0.0])
-        assert geo.log_norm_phi(np.diag([2.0, 0.5]), v) == pytest.approx(
-            math.log(2.0))
+        g = np.array([[c, -s], [s, c]])
+        gv = geo.unit_wedge(g @ [[math.cos(0.1)], [math.sin(0.1)]])
+        want = geo.unit_wedge(np.array([[math.cos(0.5)], [math.sin(0.5)]]))
+        assert np.allclose(gv, want, atol=1e-15)
 
 
 class TestExteriorPower:
@@ -133,58 +129,52 @@ class TestExteriorPower:
 
 
 class TestGrassmann:
-    def test_from_basis_orthonormalizes(self):
-        V = geo.GrassmannPoint.from_basis(_rng(6).standard_normal((4, 2)))
-        assert np.allclose(V.basis.T @ V.basis, np.eye(2), atol=1e-12)
-        assert np.linalg.norm(V.wedge) == pytest.approx(1.0)
+    def test_unit_wedge_has_unit_norm(self):
+        w = geo.unit_wedge(_rng(6).standard_normal((4, 2)))
+        assert np.linalg.norm(w) == pytest.approx(1.0)
 
     def test_distance_zero_for_same_plane(self):
         rng = _rng(7)
         b = rng.standard_normal((4, 2))
-        V = geo.GrassmannPoint.from_basis(b)
         # Same plane, different spanning set.
-        W = geo.GrassmannPoint.from_basis(b @ rng.standard_normal((2, 2)))
-        assert geo.grassmann_distance(V, W) == pytest.approx(0.0, abs=1e-10)
+        w = geo.unit_wedge(np.stack([b, b @ rng.standard_normal((2, 2))]))
+        assert geo.wedge_distance(w[0], w[1]) == pytest.approx(0.0, abs=1e-10)
 
     def test_distance_symmetry_and_triangle(self):
-        rng = _rng(8)
-        pts = [geo.GrassmannPoint.from_basis(rng.standard_normal((4, 2)))
-               for _ in range(3)]
-        a = geo.grassmann_distance(pts[0], pts[1])
-        b = geo.grassmann_distance(pts[1], pts[2])
-        c = geo.grassmann_distance(pts[0], pts[2])
-        assert a == pytest.approx(geo.grassmann_distance(pts[1], pts[0]))
+        w = geo.unit_wedge(_rng(8).standard_normal((3, 4, 2)))
+        a = geo.wedge_distance(w[0], w[1])
+        b = geo.wedge_distance(w[1], w[2])
+        c = geo.wedge_distance(w[0], w[2])
+        assert a == pytest.approx(geo.wedge_distance(w[1], w[0]))
         assert c <= a + b + 1e-12
 
     def test_action_composes(self):
+        # g acts on the plane h V, through an orthonormal basis of it
         rng = _rng(9)
         g, h = geo.sample_matrix(rng, 3), geo.sample_matrix(rng, 3)
-        V = geo.GrassmannPoint.from_basis(rng.standard_normal((3, 2)))
-        lhs = geo.grassmann_action(g @ h, V)
-        rhs = geo.grassmann_action(g, geo.grassmann_action(h, V))
-        assert geo.grassmann_distance(lhs, rhs) == pytest.approx(0.0, abs=1e-9)
+        b = rng.standard_normal((3, 2))
+        lhs = geo.unit_wedge((g @ h) @ b)
+        rhs = geo.unit_wedge(g @ np.linalg.qr(h @ b)[0])
+        assert geo.wedge_distance(lhs, rhs) == pytest.approx(0.0, abs=1e-9)
 
     def test_unit_wedge_of_raw_basis_matches_orthonormalized_plane(self):
         bases = _rng(10).standard_normal((6, 4, 2))
-        want = [geo.unit_wedge(geo.GrassmannPoint.from_basis(b).basis)
-                for b in bases]
+        want = geo.unit_wedge(np.linalg.qr(bases)[0])
         assert np.max(np.abs(geo.unit_wedge(bases) - want)) <= 1e-14
 
     def test_accepts_small_independent_basis(self):
         # dependence is judged relative to the column lengths, not by size
         b = _rng(0).standard_normal((3, 2))
-        small = geo.GrassmannPoint.from_basis(1e-13 * b)
-        assert np.max(np.abs(small.wedge
-                             - geo.GrassmannPoint.from_basis(b).wedge)) <= 1e-15
-        assert np.allclose(small.basis.T @ small.basis, np.eye(2), atol=1e-12)
+        assert np.max(np.abs(geo.unit_wedge(1e-13 * b)
+                             - geo.unit_wedge(b))) <= 1e-15
         with pytest.raises(ValueError):
-            geo.GrassmannPoint.from_basis(1e-13 * np.outer(b[:, 0], [1.0, 2.0]))
+            geo.unit_wedge(1e-13 * np.outer(b[:, 0], [1.0, 2.0]))
 
     def test_rejects_rank_deficient_basis(self):
         with pytest.raises(ValueError):
-            geo.GrassmannPoint.from_basis(np.ones((3, 2)))
+            geo.unit_wedge(np.ones((3, 2)))
         with pytest.raises(ValueError):
-            geo.GrassmannPoint.from_basis(np.zeros((3, 1)))
+            geo.unit_wedge(np.zeros((3, 1)))
         bases = _rng(11).standard_normal((3, 3, 2))
         bases[1, :, 1] = 2.0 * bases[1, :, 0]
         with pytest.raises(ValueError):
@@ -195,7 +185,7 @@ class TestGrassmann:
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
 def test_sample_matrix_always_invertible(seed):
     g = geo.sample_matrix(np.random.default_rng(seed), 3)
-    s = geo.singular_values(g)
+    s = np.linalg.svd(g, compute_uv=False)
     assert 0.2 - 1e-9 <= s[-1] and s[0] <= 5.0 + 1e-9
 
 

@@ -71,7 +71,6 @@ def _lemma_tallies_reference(samples, seed, d=3):
     at a time: worst lhs/rhs ratio and violation count."""
     rng = np.random.default_rng(seed)
     k = 2 if d >= 3 else 1
-    lo, hi = np.log(geo.SINGULAR_RANGE)
     worst = {"proj_contract": 0.0, "logform_lip_g": 0.0, "logform_lip_v": 0.0,
              "grassmann_contract": 0.0, "grassmann_perturb": 0.0}
     violations = dict.fromkeys(worst, 0)
@@ -86,7 +85,7 @@ def _lemma_tallies_reference(samples, seed, d=3):
         u, v = normals[2 * d * d:2 * d * d + 2 * d].reshape(2, d)
         delta = normals[2 * d * d + 2 * d:3 * d * d + 2 * d].reshape(d, d)
         bases = normals[3 * d * d + 2 * d:].reshape(2, d, k)
-        g = geo.matrix_from_draws(lo + (hi - lo) * uniforms[:d], rot)
+        g = geo.matrix_law(uniforms[:d], rot)[0]
         u, v = u / np.linalg.norm(u), v / np.linalg.norm(v)
         delta = delta * (0.1 * uniforms[d] / np.linalg.norm(delta, 2))
         return g, u, v, delta, bases
@@ -97,13 +96,13 @@ def _lemma_tallies_reference(samples, seed, d=3):
         uniforms = rng.random((n, d + 1))
         normals = rng.standard_normal((n, 3 * d * d + 2 * d + 2 * d * k))
         for g, u, v, delta, bases in map(sample, uniforms, normals):
-            sv = geo.singular_values(g)
+            sv = np.linalg.svd(g, compute_uv=False)
             nrm, inv = sv[0], 1.0 / sv[-1]
             ecc = nrm * inv
             tally("proj_contract", geo.fs_distance_vec(g @ u, g @ v),
                   ecc ** 2 * geo.fs_distance_vec(u, v))
             g2 = g + delta
-            sv2 = geo.singular_values(g2)
+            sv2 = np.linalg.svd(g2, compute_uv=False)
             phi_gu = math.log(np.linalg.norm(g @ u))
             tally("logform_lip_g",
                   abs(phi_gu - math.log(np.linalg.norm(g2 @ u))),
@@ -111,14 +110,16 @@ def _lemma_tallies_reference(samples, seed, d=3):
             tally("logform_lip_v",
                   abs(phi_gu - math.log(np.linalg.norm(g @ v))),
                   (ecc + 1.0) * geo.fs_distance_vec(u, v))
-            V = geo.GrassmannPoint.from_basis(bases[0])
-            W = geo.GrassmannPoint.from_basis(bases[1])
-            gV = geo.grassmann_action(g, V)
+            # planes V, W and their images through orthonormal bases:
+            # the wedge of g Q for B = QR
+            V, W = (geo.unit_wedge(b) for b in bases)
+            QV, QW = (np.linalg.qr(b)[0] for b in bases)
+            gV = geo.unit_wedge(g @ QV)
             tally("grassmann_contract",
-                  geo.grassmann_distance(gV, geo.grassmann_action(g, W)),
-                  ecc ** k * geo.grassmann_distance(V, W))
+                  geo.wedge_distance(gV, geo.unit_wedge(g @ QW)),
+                  ecc ** k * geo.wedge_distance(V, W))
             tally("grassmann_perturb",
-                  geo.grassmann_distance(gV, geo.grassmann_action(g2, V)),
+                  geo.wedge_distance(gV, geo.unit_wedge(g2 @ QV)),
                   k * max(nrm, sv2[0]) ** (k - 1)
                   * max(inv, 1.0 / sv2[-1]) ** k * np.linalg.norm(delta, 2))
         done += n
@@ -137,7 +138,7 @@ def test_batched_lemma_tallies_match_per_sample_loop(samples, seed):
 
 
 def test_lemma_singular_values_are_the_drawn_ones():
-    # exp(log_s) against the SVD of g it replaces, over 10^4 draws
+    # the drawn singular values against the SVD of g, over 10^4 draws
     rng = np.random.default_rng(6)
     for _ in range(10):
         g, sv = ver._lemma_block(rng, ver.LEMMA_BLOCK, 3, 2)[:2]
@@ -162,14 +163,13 @@ def test_batched_exterior_norm_check_matches_per_sample_loop():
     # 1500 samples span a full and a partial block, each drawn with two
     # generator calls; g = R1 diag(s) R2 has the drawn s as singular values.
     rng = np.random.default_rng(4)
-    lo, hi = np.log(geo.SINGULAR_RANGE)
     want = 0.0
     for n in (1000, 500):
-        log_s = lo + (hi - lo) * rng.random((n, 4))
+        uniforms = rng.random((n, 4))
         normals = rng.standard_normal((n, 2, 4, 4))
-        for ls, rot in zip(log_s, normals):
-            g = geo.matrix_from_draws(ls, rot)
-            top2 = np.prod(np.sort(np.exp(ls))[::-1][:2])
+        for u, rot in zip(uniforms, normals):
+            g, s = geo.matrix_law(u, rot)
+            top2 = np.prod(s[:2])
             lhs = np.linalg.norm(geo.exterior_power(g, 2), 2)
             want = max(want, abs(lhs - top2) / top2)
     rep = ver.exterior_norm_identity_check(samples=1500, seed=4)
