@@ -502,12 +502,18 @@ def cmd_grassmann(cfg, args):
     spec = cocycle_from_config(cfg)
     if spec.kind != "iid":
         raise ConfigError("grassmann requires iid weights")
-    levels = sorted(cfg["grassmann"]["levels"]) or [1]
+    levels = set(cfg["grassmann"]["levels"]) or {1}
+    top_level, d = max(levels), spec.tuple.d
+    if top_level > d - 1:  # the schema keeps every level >= 1
+        raise ConfigError(f"grassmann level {top_level} needs "
+                          f"1 <= k <= d-1 = {d - 1}")
     gaps = {int(k): float(v) for k, v in cfg["grassmann"]["gaps"].items()}
     spectrum = None
     report = {"levels": {}}
     r_prev = None
-    for k in levels:
+    # r_individual at level k takes r_H at level k - 1, so every level up to
+    # the highest requested one is certified; only requested ones reported.
+    for k in range(1, top_level + 1):
         if k not in gaps:
             if spectrum is None:
                 spectrum = estimate_spectrum(spec, **cfg["mc"])
@@ -516,9 +522,10 @@ def cmd_grassmann(cfg, args):
         rec = cert.grassmann_certificate(spec.tuple, cfg["theta"], k,
                                          gaps[k], r_H_previous=r_prev)
         r_prev = rec["r_H"]
-        report["levels"][str(k)] = {
-            kk: leaf(vv, REPORT_LEAVES["levels"][1], {"k": k})
-            for kk, vv in rec.items()}
+        if k in levels:
+            report["levels"][str(k)] = {
+                kk: leaf(vv, REPORT_LEAVES["levels"][1], {"k": k})
+                for kk, vv in rec.items()}
     return EXIT_OK, report, None
 
 

@@ -8,7 +8,8 @@ and every operator on it fills one data array over a fixed CSR pattern. One
 left eigensolve per operator gives the isolated leading eigenvalue mu and
 its left functional eta (mass 1), from which the holomorphic extension, the
 chain value and the contour Taylor coefficients are read; the Neumann
-contraction criterion completes the module.
+contraction criterion completes the module. SciPy is imported inside the
+functions that use it, so commands that build no operator never load it.
 """
 
 from __future__ import annotations
@@ -17,9 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .geometry import MatrixTuple
 
@@ -91,6 +89,7 @@ class TransferBasis:
         if tuple_.d != 2:
             raise ValueError("operator discretization is implemented for "
                              "d = 2 only")
+        import scipy.sparse
         m = grid.m
         self.tuple = tuple_
         self.grid = grid
@@ -138,6 +137,7 @@ def assemble_operator(basis: TransferBasis, z,
     of the image angle of A_i v_j, the blocks added in order i = 0..N-1.
     For real simplex z and twist 0 the result is row-stochastic.
     """
+    import scipy.sparse
     N = basis.tuple.N
     z = np.asarray(z, dtype=complex)
     if z.shape != (N,):
@@ -156,6 +156,7 @@ def assemble_operator(basis: TransferBasis, z,
 def assemble_chain_operator(P,
                             basis: TransferBasis) -> scipy.sparse.csr_matrix:
     """Block operator of the chain-driven cocycle: block (i,j) = P_ij T_{A_j}."""
+    import scipy.sparse
     P = np.asarray(P, dtype=complex)
     N = basis.tuple.N
     if P.shape != (N, N):
@@ -177,6 +178,8 @@ def _top_eigenvalues(M) -> tuple[np.ndarray, np.ndarray]:
     eigenpairs are never used. ARPACK starts from a fixed seeded vector, so repeated
     solves give the same bits (its own random start changes per call).
     """
+    import scipy.linalg
+    import scipy.sparse.linalg
     n = M.shape[0]
     if EIG_COUNT >= n - 2:
         vals, vecs = scipy.linalg.eig(M.toarray())
@@ -350,6 +353,7 @@ def neumann_criterion_check(basis: TransferBasis, p0, z, rho_star: float,
     zeta runs over contour_nodes points on |zeta - 1| = rho_star; the value
     reports the Neumann-series contraction factor of the perturbed resolvent.
     """
+    import scipy.linalg
     M0 = assemble_operator(basis, p0).toarray()
     Dz = assemble_operator(basis, z).toarray() - M0
     m = basis.grid.m

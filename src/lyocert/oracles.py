@@ -203,14 +203,15 @@ def _run_trials(spec: CocycleSpec, steps: int, trials: int, seed: int,
     # past a block's end, steps take the identity appended to the matrices
     padded = np.concatenate([mats, np.eye(d)[None]])
     products = np.eye(d)
-    for j in range(block):
-        step = np.where((starts + j < ends)[:, None],
-                        idx.T[np.minimum(starts + j, total - 1)], len(mats))
-        products = padded[step] @ products
     lengths = np.empty((len(starts), trials, n_vectors))
-    # a zero or non-finite length leaves NaN frames for the blocks after it;
-    # the check below finds it
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # an overflowing product, or a zero or non-finite length, leaves NaN or
+    # infinite frames for the blocks after it; the check below finds it
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for j in range(block):
+            step = np.where((starts + j < ends)[:, None],
+                            idx.T[np.minimum(starts + j, total - 1)],
+                            len(mats))
+            products = padded[step] @ products
         for b, product in enumerate(products):
             frames, lengths[b] = _renormalize(product @ frames)
     if np.any(lengths < 1e-300) or not np.all(np.isfinite(lengths)):

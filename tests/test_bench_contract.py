@@ -5,6 +5,9 @@ entry points by name. A refactor that renames one of them, or calls a solver
 the tracer does not see, would leave the per-layer metrics silently empty.
 """
 
+import json
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -13,6 +16,22 @@ import lyocert.oracles as orc
 import lyocert.verification as ver
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# Runs in a fresh interpreter: argv is the source root, the perfbench
+# directory, the extend --z argument and a report path. lyocert is imported
+# before SciPy, as in a benchmark run; prints the spans of one traced extend.
+TRACED_EXTEND = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+import lyocert.cli as cli
+import layers, tracing
+tracer = tracing.Tracer()
+layers.install(tracer)
+z, out = sys.argv[3:]
+assert cli.main(["extend", "--grid-m", "60", "--z", z, "--out", out]) == 0
+tracer.uninstall()
+print(json.dumps([[s.ident, s.name, s.parent] for s in tracer.spans]))
+"""
 
 
 def test_traced_extension_value_makes_one_solve(monkeypatch):
@@ -35,6 +54,25 @@ def test_traced_extension_value_makes_one_solve(monkeypatch):
     assert solves[0].parent == pairs[0].ident
     # uninstall() put the unwrapped functions back for the other tests.
     assert not hasattr(op.leading_eigenpair, "__wrapped__")
+
+
+def test_tracer_sees_the_solver_when_lyocert_loads_scipy_late(tmp_path):
+    # lyocert.operator imports SciPy on first use; the solver it calls
+    # then must still be the attribute the tracer wrapped. In this process
+    # SciPy is already loaded (tests/test_operator.py imports it), hence
+    # the fresh interpreter.
+    src = Path(op.__file__).resolve().parents[1]
+    z = json.dumps([[0.5001, 1e-5], [0.4999, -1e-5]])
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_EXTEND, str(src), str(PERFBENCH), z,
+         str(tmp_path / "extend.json")],
+        capture_output=True, text=True, check=True, timeout=300)
+    spans = json.loads(done.stdout)
+    solves = [s for s in spans if s[1] in ("scipy.eig", "scipy.eigs")]
+    pairs = [s for s in spans if s[1] == "operator.leading_eigenpair"]
+    assert [s[1] for s in solves] == ["scipy.eigs"]
+    assert len(pairs) == 1
+    assert solves[0][2] == pairs[0][0]
 
 
 def test_traced_taylor_call_builds_the_log_stretch_table_once(monkeypatch):

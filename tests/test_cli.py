@@ -2,6 +2,9 @@ import copy
 import csv
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -10,6 +13,16 @@ import pytest
 import lyocert.cli as cli
 import lyocert.geometry as geo
 import lyocert.oracles as orc
+
+# Source root of the lyocert under test, for fresh interpreters.
+SRC = str(Path(cli.__file__).resolve().parents[1])
+# Fresh-interpreter lyocert: argv is the source root, then main's argv.
+RUN_MAIN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import lyocert.cli
+sys.exit(lyocert.cli.main(sys.argv[2:]))
+"""
 
 
 def run(argv, capsys=None):
@@ -362,6 +375,68 @@ class TestOtherCommands:
         code, report = run_json(["grassmann"], tmp_path)
         assert code == cli.EXIT_OK
 
+    @staticmethod
+    def _grassmann_levels(tmp_path, cfg, levels):
+        """r_individual per reported level of `grassmann` on cfg."""
+        cfg = copy.deepcopy(cfg)
+        cfg["grassmann"]["levels"] = levels
+        path = tmp_path / "grassmann.json"
+        path.write_text(json.dumps(cfg))
+        code, report = run_json(["grassmann", "--config", str(path)],
+                                tmp_path)
+        assert code == cli.EXIT_OK
+        return {k: v["r_individual"]["value"]
+                for k, v in report["levels"].items()}
+
+    def test_grassmann_chains_every_level_below_the_requested(
+            self, tmp_path, reference_cfg):
+        # r_individual^(k) = min(r_H^(k), r_H^(k-1)): a level-2 gap 1000
+        # times smaller than its neighbours' makes r_H^(2) the smallest, so
+        # level 3 must read it whether or not level 2 is reported.
+        rng = np.random.default_rng(4)
+        cfg = copy.deepcopy(reference_cfg)
+        cfg["dimension"] = 4
+        cfg["matrices"] = [geo.sample_matrix(rng, 4).tolist()
+                           for _ in range(2)]
+        cfg["grassmann"]["gaps"] = {"1": 2.0, "2": 0.002, "3": 2.0}
+        every = self._grassmann_levels(tmp_path, cfg, [1, 2, 3])
+        assert every["3"] == every["2"] < every["1"]
+        assert self._grassmann_levels(tmp_path, cfg, [1, 3]) == {
+            "1": every["1"], "3": every["3"]}
+        assert self._grassmann_levels(tmp_path, cfg, [3]) == {
+            "3": every["3"]}
+
+    @pytest.mark.parametrize("gaps", [{}, {"1": 0.3, "2": 0.3}],
+                             ids=["estimated-gap", "config-gap"])
+    def test_grassmann_level_past_d_minus_1_is_config_error(
+            self, gaps, tmp_path, reference_cfg, capsys, monkeypatch):
+        cfg = copy.deepcopy(reference_cfg)
+        cfg["grassmann"] = {"levels": [1, 2], "gaps": gaps}
+        path = tmp_path / "grassmann.json"
+        path.write_text(json.dumps(cfg))
+        monkeypatch.setattr(cli, "estimate_spectrum", lambda *a, **k:
+                            pytest.fail("Monte Carlo ran before the check"))
+        assert run(["grassmann", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: grassmann level 2 needs 1 <= k <= d-1 = 1\n")
+
+    def test_estimate_overflow_is_one_numeric_error_line(
+            self, tmp_path, reference_cfg):
+        # In a fresh interpreter, where NumPy's warnings reach stderr (under
+        # pytest they would be recorded instead).
+        cfg = copy.deepcopy(reference_cfg)
+        cfg["matrices"] = [[[1e150, 0.0], [0.0, 1e-150]]]
+        cfg["weights"] = [1.0]
+        cfg["mc"] = {"steps": 200, "trials": 2}
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(cfg))
+        done = subprocess.run(
+            [sys.executable, "-c", RUN_MAIN, SRC, "estimate", "--config",
+             str(path)], capture_output=True, text=True, timeout=300)
+        assert done.returncode == cli.EXIT_NUMERIC
+        assert done.stderr == (
+            "numeric error: frame degenerated during accumulation\n")
+
     def test_scan_boundary_csv(self, tmp_path):
         out_csv = tmp_path / "scan.csv"
         code = cli.main(["scan-boundary", "--grid-m", "150",
@@ -409,6 +484,48 @@ class TestOtherCommands:
             "lemma.exterior_norm_identity", "lemma.transfer_norm_bound",
             "markov_iid", "reference"]
         assert all(len(v) == 1 for v in runtimes.values()), runtimes
+
+
+# Runs in a fresh interpreter: argv is the source root, a config with a
+# small Monte Carlo budget, the extend --z argument and a report path.
+# Prints, after each command, whether SciPy has been imported.
+FRESH_START = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import lyocert.cli as cli
+small_mc, z, out = sys.argv[2:]
+cli.load_config(None)
+loaded = {"import": "scipy" in sys.modules}
+for argv in (["certify"], ["example"], ["grassmann"],
+             ["estimate", "--config", small_mc],
+             ["extend", "--grid-m", "60", "--z", z]):
+    assert cli.main(argv + ["--out", out]) == cli.EXIT_OK, argv
+    loaded[argv[0]] = "scipy" in sys.modules
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_loads_only_when_an_operator_is_built(tmp_path,
+                                                     reference_cfg):
+    # The closed-form commands never import SciPy, which would cost them
+    # about half of their start-up; extend then loads it on first use and
+    # reports what an interpreter that imported SciPy first reports.
+    cfg = copy.deepcopy(reference_cfg)
+    cfg["mc"] = {"steps": 300, "trials": 2}
+    small_mc = tmp_path / "small_mc.json"
+    small_mc.write_text(json.dumps(cfg))
+    z = json.dumps([[0.5001, 1e-5], [0.4999, -1e-5]])
+    fresh = tmp_path / "fresh.json"
+    done = subprocess.run(
+        [sys.executable, "-c", FRESH_START, SRC, str(small_mc), z,
+         str(fresh)], capture_output=True, text=True, check=True, timeout=300)
+    assert json.loads(done.stdout) == {
+        "import": False, "certify": False, "example": False,
+        "grassmann": False, "estimate": False, "extend": True}
+    here = tmp_path / "here.json"
+    assert cli.main(["extend", "--grid-m", "60", "--z", z,
+                     "--out", str(here)]) == cli.EXIT_OK
+    assert fresh.read_bytes() == here.read_bytes()
 
 
 class TestSerialization:
