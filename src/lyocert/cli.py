@@ -28,7 +28,7 @@ from . import verification as ver
 from .certificates import (ConstantValidationError, GapNotSimpleError,
                            IsolatingCircleError, LogValue)
 from .geometry import InvalidMatrixError, MatrixTuple
-from .oracles import (CocycleSpec, NumericOverflowError,
+from .oracles import (DEFAULT_BURNIN, CocycleSpec, NumericOverflowError,
                       estimate_markov_exponent, estimate_spectrum,
                       estimate_top_exponent, gap_from_estimates, lyapunov_gap)
 
@@ -96,6 +96,7 @@ CONFIG_SCHEMA = {
                 "levels": {"type": "array",
                            "items": {"type": "integer", "minimum": 1}},
                 "gaps": {"type": "object",
+                         "propertyNames": {"pattern": "^[1-9][0-9]*$"},
                          "additionalProperties": {"type": "number"}},
             },
         },
@@ -128,7 +129,8 @@ Z_VALIDATOR = jsonschema.Draft202012Validator(Z_SCHEMA)
 
 # Every key the "mc" schema allows: cfg["mc"] holds exactly these four, so it
 # passes to the Monte Carlo estimators as keyword arguments.
-MC_DEFAULTS = {"steps": 20_000, "trials": 12, "seed": 0, "burnin": 1000}
+MC_DEFAULTS = {"steps": 20_000, "trials": 12, "seed": 0,
+               "burnin": DEFAULT_BURNIN}
 GRID_DEFAULT = 2000
 CONTOUR_DEFAULTS = {"radius": None, "nodes": 32, "order": 6, "direction": None}
 BOUNDARY_DEFAULTS = {"index": 0, "steps": 6, "tMax": None, "cTau": None,
@@ -464,13 +466,10 @@ def cmd_scan_boundary(cfg, args):
     if b["index"] >= spec.tuple.N:
         raise ConfigError(f"boundary.index {b['index']} needs an index "
                           f"below the {spec.tuple.N} weights")
-    p0 = np.asarray(spec.weights)
-    t_max = b["tMax"] if b["tMax"] is not None else 0.9 * p0[b["index"]]
     out = ver.boundary_scan(
-        spec.tuple, cfg["theta"], index=b["index"], steps=b["steps"],
-        t_max=t_max, grid_m=min(cfg["grid"]["m"], 600),
-        gap_proxy=b["gapProxy"], mc_steps=cfg["mc"]["steps"],
-        mc_trials=cfg["mc"]["trials"], seed=cfg["mc"]["seed"], p0=p0)
+        spec.tuple, cfg["theta"], cfg["mc"], index=b["index"],
+        steps=b["steps"], t_max=b["tMax"], grid_m=min(cfg["grid"]["m"], 600),
+        gap_proxy=b["gapProxy"], p0=spec.weights)
     csv_rows = [("t", "p_min", "gap", "r_star", "lower_bound")]
     for r in out["rows"]:
         log_lb = r.get("log_lower_bound")
@@ -508,6 +507,11 @@ def cmd_grassmann(cfg, args):
         raise ConfigError(f"grassmann level {top_level} needs "
                           f"1 <= k <= d-1 = {d - 1}")
     gaps = {int(k): float(v) for k, v in cfg["grassmann"]["gaps"].items()}
+    if max(gaps, default=1) > d - 1:  # the schema keeps every key >= 1
+        raise ConfigError(f"grassmann.gaps key {max(gaps)} needs "
+                          f"1 <= k <= d-1 = {d - 1}")
+    if cfg["gap"] is not None:  # level 1 is certify's gap unless gaps has 1
+        gaps.setdefault(1, float(cfg["gap"]))
     spectrum = None
     report = {"levels": {}}
     r_prev = None
@@ -571,8 +575,8 @@ def cmd_verify(cfg, args):
         _run_checks(report, ver.check_cauchy_dominance, spec.tuple,
                     spec.weights, cfg["theta"], gap, grid_m=grid_m)
         _run_checks(report, ver.markov_iid_reduction_check, spec.tuple,
-                    spec.weights, grid_m=grid_m, mc_steps=cfg["mc"]["steps"],
-                    mc_trials=cfg["mc"]["trials"], seed=seed + 3)
+                    spec.weights, {**cfg["mc"], "seed": seed + 3},
+                    grid_m=grid_m)
     code = EXIT_OK if report.passed else EXIT_VERIFICATION
     return code, report.to_dict(), None
 

@@ -166,19 +166,20 @@ def check_cauchy_dominance(tuple_: MatrixTuple, p0, theta: float, gap: float,
 # ---------------------------------------------------------------------------
 # Boundary-degeneration scan.
 
-def boundary_scan(tuple_: MatrixTuple, theta: float, index: int = 0,
-                  steps: int = 6, t_max: float = 0.45, grid_m: int = 400,
-                  gap_proxy: str = "measured", mc_steps: int = 20_000,
-                  mc_trials: int = 8, seed: int = 0,
+def boundary_scan(tuple_: MatrixTuple, theta: float, mc: dict,
+                  index: int = 0, steps: int = 6, t_max: float | None = None,
+                  grid_m: int = 400, gap_proxy: str = "measured",
                   p0=None) -> dict:
     """Certificate-radius sweep toward the simplex boundary.
 
-    Lowers weight `index` from p0 along the line toward the opposite vertex,
-    recording the Lyapunov gap, a spectral-gap proxy, and the certificate
-    radius. Fits log(spectral gap) against log(p_min) by least squares for
-    the decay exponent gamma, sets the coefficient c_tau as the pointwise
-    lower envelope of the fit, and checks the resulting lower-bound chain
-    r*(p(t)) >= c_E p_min^alpha_E in log space at every scan point.
+    Lowers weight `index` from p0 (default uniform) by up to t_max (default
+    0.9 p0[index]) along the line toward the opposite vertex, recording the
+    Lyapunov gap (Monte Carlo settings mc, row k at seed + k), a
+    spectral-gap proxy, and the radius of cert.certify. Fits log(spectral
+    gap) against log(p_min) by least squares for the decay exponent gamma,
+    sets the coefficient c_tau as the pointwise lower envelope of the fit,
+    and checks the resulting lower-bound chain r*(p(t)) >= c_E
+    p_min^alpha_E in log space at every scan point.
 
     gap_proxy: "measured" uses the discretized second eigenvalue modulus;
     "mc" uses the ladder composite rate at the Monte Carlo Lyapunov gap.
@@ -187,37 +188,35 @@ def boundary_scan(tuple_: MatrixTuple, theta: float, index: int = 0,
         raise ValueError(f"unknown gap proxy {gap_proxy!r}")
     N = tuple_.N
     p0 = np.full(N, 1.0 / N) if p0 is None else np.asarray(p0, dtype=float)
+    if t_max is None:
+        t_max = 0.9 * p0[index]
     if t_max >= p0[index]:
         raise ValueError("scan must keep p(t) inside the open simplex")
     basis = (top.TransferBasis(tuple_, top.build_grid(grid_m))
              if tuple_.d == 2 else None)
     ts = np.linspace(t_max / steps, t_max, steps)
-    rows = []
+    rows, certs = [], []
     direction = -np.ones(N) / (N - 1)
     direction[index] = 1.0
     for k, t in enumerate(ts):
         p = p0 - t * direction
         p_min = float(p.min())
         spec = CocycleSpec.iid(tuple_, p)
-        gap_hat, gap_se = lyapunov_gap(spec, steps=mc_steps, trials=mc_trials,
-                                       seed=seed + k)
-        if basis is not None:
-            rho2, _ = top.spectral_gap_measured(
-                top.assemble_operator(basis, p))
-        else:
-            rho2 = float("nan")
-        ladder = cert.build_ladder(tuple_, theta, gap_hat)
-        _, K_sp = cert.resolvent_bound(ladder)
-        r_star, _ = cert.polydisc_radius(ladder, K_sp, tuple_)
+        gap_hat, gap_se = lyapunov_gap(spec,
+                                       **{**mc, "seed": mc["seed"] + k})
+        rho2 = (top.spectral_gap_measured(top.assemble_operator(basis, p))[0]
+                if basis is not None else float("nan"))
+        certs.append(cert.certify(tuple_, p, theta, gap_hat))
         proxy = (1.0 - rho2) if gap_proxy == "measured" \
-            else (1.0 - ladder.tau_star)
+            else (1.0 - certs[-1].ladder.tau_star)
         rows.append({"t": float(t), "p_min": p_min, "gap": gap_hat,
                      "gap_stderr": gap_se, "rho2": rho2,
-                     "spectral_gap_proxy": proxy, "r_star": r_star})
+                     "spectral_gap_proxy": proxy,
+                     "r_star": certs[-1].r_star})
 
     log_pmin = np.log([r["p_min"] for r in rows])
     log_gap = np.log([max(r["spectral_gap_proxy"], 1e-300) for r in rows])
-    out = {"rows": rows, "gap_proxy": gap_proxy, "seed": seed}
+    out = {"rows": rows, "gap_proxy": gap_proxy, "seed": mc["seed"]}
     if np.ptp(log_gap) < 1e-6 or np.max(log_gap) < math.log(1e-8):
         # constant proxy (within noise) or a gap at the numerical floor:
         # no decay law can be fitted
@@ -233,8 +232,7 @@ def boundary_scan(tuple_: MatrixTuple, theta: float, index: int = 0,
     out["indeterminate"] = False
     if gamma_hat <= 0.0:
         return out
-    ladder0 = cert.build_ladder(tuple_, theta, rows[0]["gap"])
-    bc = cert.boundary_constants(tuple_, theta, ladder0,
+    bc = cert.boundary_constants(tuple_, theta, certs[0].ladder,
                                  math.exp(log_c_tau), float(gamma_hat))
     out["boundary_constants"] = {k: (v.to_dict() if hasattr(v, "to_dict")
                                      else v) for k, v in bc.items()}
@@ -252,11 +250,11 @@ def boundary_scan(tuple_: MatrixTuple, theta: float, index: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# Markov-to-iid reduction and partial-sum consistency.
+# Markov-to-iid reduction and partial-sum consistency. The second Monte
+# Carlo estimate of each check takes the settings mc with seed + 1.
 
-def markov_iid_reduction_check(tuple_: MatrixTuple, p, grid_m: int = 400,
-                               mc_steps: int = 20_000, mc_trials: int = 12,
-                               seed: int = 0) -> VerificationReport:
+def markov_iid_reduction_check(tuple_: MatrixTuple, p, mc: dict,
+                               grid_m: int = 400) -> VerificationReport:
     """A chain with identical rows p must reproduce the iid cocycle."""
     report = VerificationReport()
     p = np.asarray(p, dtype=float)
@@ -270,36 +268,32 @@ def markov_iid_reduction_check(tuple_: MatrixTuple, p, grid_m: int = 400,
                "1e-8", f"iid {v_iid}, chain {v_chain}")
     iid_spec = CocycleSpec.iid(tuple_, p)
     chain_spec = CocycleSpec.markov(tuple_, P)
-    l_iid, se_iid = estimate_top_exponent(iid_spec, steps=mc_steps,
-                                          trials=mc_trials, seed=seed)
-    l_chain, se_chain = estimate_markov_exponent(chain_spec, steps=mc_steps,
-                                                 trials=mc_trials, seed=seed + 1)
+    l_iid, se_iid = estimate_top_exponent(iid_spec, **mc)
+    l_chain, se_chain = estimate_markov_exponent(
+        chain_spec, **{**mc, "seed": mc["seed"] + 1})
     tol = 3.0 * (se_iid + se_chain)
     diff = abs(l_iid - l_chain)
     _check(report, "markov_iid.monte_carlo", diff <= tol, diff, 0.0,
            f"3 combined stderr = {tol:.3g}",
            f"iid {l_iid:.6f}+-{se_iid:.2g}, "
-           f"chain {l_chain:.6f}+-{se_chain:.2g}", seed)
+           f"chain {l_chain:.6f}+-{se_chain:.2g}", mc["seed"])
     return report
 
 
 def partial_sum_consistency(tuple_: MatrixTuple, p, k: int,
-                            mc_steps: int = 20_000, mc_trials: int = 12,
-                            seed: int = 0) -> VerificationReport:
+                            mc: dict) -> VerificationReport:
     """Exterior-power partial sum vs summed spectrum, 3 combined stderr."""
     report = VerificationReport()
     spec = CocycleSpec.iid(tuple_, p)
-    partial, se_p = estimate_partial_sum(spec, k, steps=mc_steps,
-                                         trials=mc_trials, seed=seed)
-    spectrum = estimate_spectrum(spec, steps=mc_steps, trials=mc_trials,
-                                 seed=seed + 1)
+    partial, se_p = estimate_partial_sum(spec, k, **mc)
+    spectrum = estimate_spectrum(spec, **{**mc, "seed": mc["seed"] + 1})
     summed = float(np.sum(spectrum.exponents[:k]))
     se_s = float(np.sum(spectrum.standard_errors[:k]))
     tol = 3.0 * (se_p + se_s)
     diff = abs(partial - summed)
     _check(report, f"partial_sum.k{k}", diff <= tol, diff, 0.0,
            f"3 combined stderr = {tol:.3g}",
-           f"partial {partial:.6f}, summed {summed:.6f}", seed)
+           f"partial {partial:.6f}, summed {summed:.6f}", mc["seed"])
     return report
 
 

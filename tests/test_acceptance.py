@@ -198,9 +198,9 @@ def test_criterion_6_cauchy_dominance():
 
 def test_criterion_7_chain_reduction():
     problems = []
-    report = ver.markov_iid_reduction_check(REFERENCE, P0, grid_m=300,
-                                            mc_steps=20000, mc_trials=12,
-                                            seed=0)
+    report = ver.markov_iid_reduction_check(
+        REFERENCE, P0, {"steps": 20000, "trials": 12, "seed": 0,
+                        "burnin": 1000}, grid_m=300)
     failed = [c for c in report.checks if c.status == "fail"]
     problems += [f"{c.name}: {c.detail}" for c in failed]
 
@@ -241,9 +241,10 @@ def test_criterion_8_lemma_sampling():
 # ---------------------------------------------------------------------------
 
 def test_criterion_9_boundary_scan():
-    scan = ver.boundary_scan(REFERENCE, THETA, index=0, steps=6,
-                             grid_m=300, gap_proxy="measured",
-                             mc_steps=20000, mc_trials=8, seed=0)
+    scan = ver.boundary_scan(
+        REFERENCE, THETA, {"steps": 20000, "trials": 8, "seed": 0,
+                           "burnin": 1000},
+        index=0, steps=6, grid_m=300, gap_proxy="measured")
     problems = []
     if scan["indeterminate"]:
         problems.append("decay fit indeterminate")

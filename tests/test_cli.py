@@ -420,6 +420,78 @@ class TestOtherCommands:
         assert capsys.readouterr().err == (
             "error: grassmann level 2 needs 1 <= k <= d-1 = 1\n")
 
+    @pytest.mark.parametrize("gap, gaps, want", [
+        (0.26, {}, 0.26), (0.26, {"1": 0.5}, 0.5), (None, {}, 0.7)],
+        ids=["config-gap", "gaps-entry-first", "spectrum-last"])
+    def test_grassmann_level_1_gap_precedence(
+            self, gap, gaps, want, tmp_path, reference_cfg, monkeypatch):
+        # level 1 reads grassmann.gaps["1"], then the config's gap (the one
+        # certify uses), and only then a Monte Carlo spectrum
+        cfg = copy.deepcopy(reference_cfg)
+        cfg["gap"] = gap
+        cfg["grassmann"] = {"levels": [1], "gaps": gaps}
+        path = tmp_path / "grassmann.json"
+        path.write_text(json.dumps(cfg))
+        spectra = []
+        monkeypatch.setattr(cli, "estimate_spectrum", lambda *a, **k:
+                            spectra.append(k) or orc.SpectrumEstimate(
+                                np.array([1.0, 0.3]), np.zeros(2),
+                                k["steps"], k["trials"], k["seed"]))
+        code, report = run_json(["grassmann", "--config", str(path)],
+                                tmp_path)
+        assert code == cli.EXIT_OK
+        assert report["levels"]["1"]["gap_k"]["value"] == pytest.approx(
+            want, abs=1e-15)
+        assert spectra == ([cfg["mc"]] if want == 0.7 else [])
+
+    @pytest.mark.parametrize("key", ["one", "0", "01", "-1"])
+    def test_grassmann_gaps_key_not_a_level_number(
+            self, key, tmp_path, reference_cfg, capsys):
+        cfg = copy.deepcopy(reference_cfg)
+        cfg["grassmann"]["gaps"] = {key: 0.5}
+        path = tmp_path / "grassmann.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["grassmann", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            "error: config invalid at $.grassmann.gaps: ")
+
+    def test_grassmann_gaps_key_past_d_minus_1_is_config_error(
+            self, tmp_path, reference_cfg, capsys, monkeypatch):
+        cfg = copy.deepcopy(reference_cfg)
+        cfg["gap"] = None
+        cfg["grassmann"] = {"levels": [1], "gaps": {"5": 0.5}}
+        path = tmp_path / "grassmann.json"
+        path.write_text(json.dumps(cfg))
+        monkeypatch.setattr(cli, "estimate_spectrum", lambda *a, **k:
+                            pytest.fail("Monte Carlo ran before the check"))
+        assert run(["grassmann", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: grassmann.gaps key 5 needs 1 <= k <= d-1 = 1\n")
+
+    def test_every_monte_carlo_run_takes_the_config_settings(
+            self, tmp_path, reference_cfg, monkeypatch):
+        # scan row k runs at seed + k; verify's Markov-to-iid reduction
+        # runs its iid and chain estimates at seed + 3 and seed + 4
+        cfg = copy.deepcopy(reference_cfg)
+        cfg["mc"] = {"steps": 300, "trials": 2, "seed": 11, "burnin": 7}
+        cfg["grid"] = {"m": 200}
+        cfg["boundary"]["steps"] = 2
+        path = tmp_path / "mc.json"
+        path.write_text(json.dumps(cfg))
+        calls = []
+        run_trials = orc._run_trials
+
+        def recording(spec, steps, trials, seed, burnin, *rest):
+            calls.append((steps, trials, seed, burnin))
+            return run_trials(spec, steps, trials, seed, burnin, *rest)
+
+        monkeypatch.setattr(orc, "_run_trials", recording)
+        for argv, seeds in ((["scan-boundary"], [11, 12]),
+                            (["verify", "--fast"], [14, 15])):
+            calls.clear()
+            run_json(argv + ["--config", str(path)], tmp_path)
+            assert calls == [(300, 2, s, 7) for s in seeds]
+
     def test_estimate_overflow_is_one_numeric_error_line(
             self, tmp_path, reference_cfg):
         # In a fresh interpreter, where NumPy's warnings reach stderr (under

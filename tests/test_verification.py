@@ -9,6 +9,7 @@ import lyocert.verification as ver
 
 
 REFERENCE = ver.reference_tuple()
+MC_2000 = {"steps": 2000, "trials": 4, "seed": 0, "burnin": 1000}
 
 
 class TestReportPlumbing:
@@ -207,14 +208,16 @@ class TestConsistencyChecks:
         rng = np.random.default_rng(2)
         T = geo.MatrixTuple.from_matrices(
             [geo.sample_matrix(rng, 3) for _ in range(2)])
-        rep = ver.partial_sum_consistency(T, (0.5, 0.5), 2, mc_steps=4000,
-                                          mc_trials=8)
+        rep = ver.partial_sum_consistency(
+            T, (0.5, 0.5), 2,
+            {"steps": 4000, "trials": 8, "seed": 0, "burnin": 1000})
         assert rep.passed
 
     def test_markov_iid_reduction(self):
-        rep = ver.markov_iid_reduction_check(REFERENCE, (0.5, 0.5),
-                                             grid_m=200, mc_steps=8000,
-                                             mc_trials=8, seed=0)
+        rep = ver.markov_iid_reduction_check(
+            REFERENCE, (0.5, 0.5),
+            {"steps": 8000, "trials": 8, "seed": 0, "burnin": 1000},
+            grid_m=200)
         assert rep.passed
 
     def test_cauchy_dominance_small(self):
@@ -224,10 +227,21 @@ class TestConsistencyChecks:
 
 
 class TestBoundaryScan:
+    def test_default_t_max_on_three_matrices(self):
+        # Uniform p0 on three matrices puts 1/3 on the scanned weight; the
+        # default t_max = 0.9 p0[index] scans it down to 0.1/3.
+        T = geo.MatrixTuple.from_matrices(
+            [*REFERENCE.matrices, ver.reference_tuple(1.5, 0.6).matrices[1]])
+        scan = ver.boundary_scan(T, 0.5, MC_2000, steps=3, grid_m=100)
+        p_min = [r["p_min"] for r in scan["rows"]]
+        assert p_min[-1] == pytest.approx(0.1 / 3, abs=1e-15)
+        assert p_min == sorted(p_min, reverse=True)
+
     def test_reference_scan_shape_and_flags(self):
-        scan = ver.boundary_scan(REFERENCE, 0.5, steps=4, grid_m=300,
-                                 gap_proxy="measured", mc_steps=4000,
-                                 mc_trials=4, seed=0)
+        scan = ver.boundary_scan(
+            REFERENCE, 0.5,
+            {"steps": 4000, "trials": 4, "seed": 0, "burnin": 1000},
+            steps=4, grid_m=300, gap_proxy="measured")
         assert len(scan["rows"]) == 4
         assert not scan["indeterminate"]
         assert scan["r_star_positive"]
@@ -239,9 +253,8 @@ class TestBoundaryScan:
         # so the measured-gap decay fit is degenerate and must be flagged.
         g = np.diag([2.0, 0.5])
         T = geo.MatrixTuple.from_matrices([g, g])
-        scan = ver.boundary_scan(T, 0.5, steps=4, grid_m=150,
-                                 gap_proxy="measured", mc_steps=2000,
-                                 mc_trials=4, seed=0)
+        scan = ver.boundary_scan(T, 0.5, MC_2000, steps=4, grid_m=150,
+                                 gap_proxy="measured")
         assert scan["indeterminate"]
 
     def test_triangular_pair_fits_positive_exponent(self):
@@ -250,9 +263,8 @@ class TestBoundaryScan:
         # power, and the fitted lower envelope must hold at every row.
         T = geo.MatrixTuple.from_matrices([[[2.0, 1.0], [0.0, 0.5]],
                                            [[0.5, 1.0], [0.0, 2.0]]])
-        scan = ver.boundary_scan(T, 0.5, steps=5, grid_m=150,
-                                 gap_proxy="measured", mc_steps=2000,
-                                 mc_trials=4, seed=0)
+        scan = ver.boundary_scan(T, 0.5, MC_2000, steps=5, grid_m=150,
+                                 gap_proxy="measured")
         assert not scan["indeterminate"]
         assert scan["fit"]["gamma_hat"] > 0.0
         assert scan["lower_bound_holds_everywhere"]
