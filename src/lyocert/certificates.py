@@ -62,23 +62,17 @@ def simplicity_threshold(theta: float, gap: float) -> int:
     return int(math.ceil(2.0 * LOG2 / (theta * gap)))
 
 
-def oscillation_rate(n0: int, theta: float, gap: float, ecc: float,
-                     variant: str = "pessimistic") -> dict:
-    """One-block oscillation contraction rate tau0, both variants.
+def oscillation_rate(n0: int, theta: float, gap: float, ecc: float) -> dict:
+    """One-block oscillation contraction rates.
 
-    optimistic: exp(-n0 theta gap / 2); pessimistic: 1 - log2/(4 log(2 ecc)).
+    pessimistic: 1 - log2/(4 log(2 ecc)), the tau0 of the ladder;
+    optimistic: exp(-n0 theta gap / 2), reported beside it.
     """
     if ecc < 1.0:
         raise ValueError("eccentricity is >= 1 by definition")
-    optimistic = math.exp(-n0 * theta * gap / 2.0)
-    pessimistic = 1.0 - LOG2 / (4.0 * math.log(2.0 * ecc))
-    if variant not in ("optimistic", "pessimistic"):
-        raise ValueError(f"unknown tau0 variant {variant!r}")
     return {
-        "variant": variant,
-        "tau0": optimistic if variant == "optimistic" else pessimistic,
-        "optimistic": optimistic,
-        "pessimistic": pessimistic,
+        "optimistic": math.exp(-n0 * theta * gap / 2.0),
+        "pessimistic": 1.0 - LOG2 / (4.0 * math.log(2.0 * ecc)),
     }
 
 
@@ -106,10 +100,8 @@ class GapLadder:
     gap: float
     ecc: float
     n0: int
-    tau0: float
-    tau0_variant: str
+    tau0: float  # the pessimistic rate
     tau0_optimistic: float
-    tau0_pessimistic: float
     C2: float
     N_theta: int
     tau_star: float
@@ -122,13 +114,12 @@ def perturbation_factor(tuple_: MatrixTuple, theta: float) -> float:
     return float(np.max(1.0 + tuple_.eccentricities ** (2.0 * theta)))
 
 
-def build_ladder(tuple_: MatrixTuple, theta: float, gap: float,
-                 variant: str = "pessimistic") -> GapLadder:
+def build_ladder(tuple_: MatrixTuple, theta: float, gap: float) -> GapLadder:
     """Assemble the full ladder for a tuple, Holder index, and gap value."""
     ecc = tuple_.ecc
     n0 = simplicity_threshold(theta, gap)
-    rates = oscillation_rate(n0, theta, gap, ecc, variant)
-    tau0 = rates["tau0"]
+    rates = oscillation_rate(n0, theta, gap, ecc)
+    tau0 = rates["pessimistic"]
     if tau0 >= 1.0:
         raise GapNotSimpleError(
             f"tau0 = {tau0} >= 1: the ladder is vacuous at theta = {theta}")
@@ -137,9 +128,7 @@ def build_ladder(tuple_: MatrixTuple, theta: float, gap: float,
     r_bound = 2.0 + float(np.max(tuple_.eccentricities ** (2.0 * theta)))
     return GapLadder(
         theta=theta, gap=gap, ecc=ecc, n0=n0,
-        tau0=tau0, tau0_variant=rates["variant"],
-        tau0_optimistic=rates["optimistic"],
-        tau0_pessimistic=rates["pessimistic"],
+        tau0=tau0, tau0_optimistic=rates["optimistic"],
         C2=C2, N_theta=N_theta, tau_star=tau_star, rho_star=rho_star,
         R_norm_bound=r_bound,
     )
@@ -165,35 +154,40 @@ def resolvent_bound(ladder: GapLadder) -> tuple[LogValue, float]:
     return LogValue(log=float(log_k)), k_sp
 
 
-def polydisc_radius(ladder: GapLadder, K: float,
-                    tuple_: MatrixTuple) -> tuple[float, float]:
-    """Kato polydisc radius r* = 1/(4 N K max(1+ecc^2theta)) and r*/2."""
-    if K <= 0.0:
-        raise ValueError("K must be positive")
-    r_star = 1.0 / (4.0 * tuple_.N * K * perturbation_factor(tuple_, ladder.theta))
-    return r_star, r_star / 2.0
-
-
 def log_polydisc_radius(ladder: GapLadder, log_K: float,
                         tuple_: MatrixTuple) -> float:
-    """log r* for the rigorous (astronomical-K) route."""
+    """log r* of the Kato polydisc radius r* = 1/(4 N K max(1+ecc^2theta))."""
     return -(math.log(4.0 * tuple_.N) + log_K
              + math.log(perturbation_factor(tuple_, ladder.theta)))
 
 
-def sup_bound(ladder: GapLadder, K: float, tuple_: MatrixTuple) -> float:
-    """Sup bound M* = 2 K rho* max_i(log||A_i|| + ecc(A_i) + 1)."""
+def polydisc_radius(ladder: GapLadder, K: float,
+                    tuple_: MatrixTuple) -> tuple[float, float]:
+    """Kato polydisc radius r* and r*/2 for a K within double range."""
+    if K <= 0.0:
+        raise ValueError("K must be positive")
+    r_star = math.exp(log_polydisc_radius(ladder, math.log(K), tuple_))
+    return r_star, r_star / 2.0
+
+
+def sup_bound(ladder: GapLadder, log_K: float,
+              tuple_: MatrixTuple) -> LogValue:
+    """Sup bound M* = 2 K rho* max_i(log||A_i|| + ecc(A_i) + 1), from log K."""
     bracket = float(np.max(np.log(tuple_.operator_norms)
                            + tuple_.eccentricities + 1.0))
-    return 2.0 * K * ladder.rho_star * bracket
+    if bracket <= 0.0:
+        raise ValueError(f"sup bound needs max_i(log||A_i|| + ecc(A_i) + 1) "
+                         f"> 0, got {bracket}")
+    return LogValue(log=LOG2 + log_K + math.log(ladder.rho_star)
+                    + math.log(bracket))
 
 
 def _multi_index_factorial(alpha) -> float:
     return float(np.prod([math.factorial(int(a)) for a in np.atleast_1d(alpha)]))
 
 
-def cauchy_bound(M_star: float, r_star: float, alpha,
-                 radius_convention: str = "example") -> float:
+def cauchy_bound(M_star: LogValue, r_star: LogValue, alpha,
+                 radius_convention: str = "example") -> LogValue:
     """Bound on |d^alpha lambda| from the Cauchy formula on the polydisc.
 
     Conventions:
@@ -205,17 +199,17 @@ def cauchy_bound(M_star: float, r_star: float, alpha,
     alpha = np.atleast_1d(np.asarray(alpha, dtype=int))
     if np.any(alpha < 0):
         raise ValueError("multi-index entries must be >= 0")
-    if not r_star > 0.0:
-        raise ValueError("polydisc radius must be > 0")
     order = int(alpha.sum())
     fact = _multi_index_factorial(alpha)
     if radius_convention == "example":
         if order == 0:
             return M_star
-        return max(fact, 2.0) * M_star / r_star ** order
-    if radius_convention == "theoremB-proof":
-        return fact * M_star / (r_star / 2.0) ** order
-    raise ValueError(f"unknown radius convention {radius_convention!r}")
+        log_coef = math.log(max(fact, 2.0))
+    elif radius_convention == "theoremB-proof":
+        log_coef = math.log(fact) + order * LOG2
+    else:
+        raise ValueError(f"unknown radius convention {radius_convention!r}")
+    return LogValue(log=log_coef + M_star.log - order * r_star.log)
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +272,9 @@ def validate_c_geom(tuple_: MatrixTuple, rho: float, samples: int = 100_000,
     return n * tuple_.N
 
 
-def joint_radii(tuple_: MatrixTuple, theta: float, K_star: float,
+def joint_radii(tuple_: MatrixTuple, theta: float, log_K: float,
                 rho_A: float, p) -> dict:
-    """Joint polydisc radii in (matrices, weights).
+    """Joint polydisc radii in (matrices, weights), from log K*.
 
     L_p = max_i(1 + ecc^2theta) + rho_A, L_A = max_i p_i * K_mat;
     r*_A = 1/(8 L_A K*), r*_p = 1/(8 L_p K* N).
@@ -296,8 +290,8 @@ def joint_radii(tuple_: MatrixTuple, theta: float, K_star: float,
     return {
         "L_p": L_p,
         "L_A": L_A,
-        "r_star_A": 1.0 / (8.0 * L_A * K_star),
-        "r_star_p": 1.0 / (8.0 * L_p * K_star * tuple_.N),
+        "r_star_A": LogValue(log=-math.log(8.0 * L_A) - log_K),
+        "r_star_p": LogValue(log=-math.log(8.0 * L_p * tuple_.N) - log_K),
         "rho_A": rho_A,
     }
 
@@ -407,22 +401,17 @@ def grassmann_certificate(tuple_: MatrixTuple, theta: float, k: int,
 # ---------------------------------------------------------------------------
 # theta optimization and full report assembly.
 
-def optimize_theta(tuple_: MatrixTuple, gap: float, theta_grid,
-                   variant: str = "pessimistic",
-                   rigorous: bool = False) -> dict:
-    """Evaluate the ladder and r* over a theta grid; ties go to smaller theta."""
+def optimize_theta(tuple_: MatrixTuple, gap: float, theta_grid) -> dict:
+    """Evaluate the ladder and r* (at K*_sp) over a theta grid; ties go to
+    smaller theta."""
     grid = list(theta_grid)
     if not grid:
         raise ValueError("theta grid is empty")
     table = []
     for theta in sorted(grid):
-        ladder = build_ladder(tuple_, theta, gap, variant)
-        K_full, K_sp = resolvent_bound(ladder)
-        if rigorous:
-            log_r = log_polydisc_radius(ladder, K_full.log, tuple_)
-            r_star = math.exp(log_r) if log_r > -690 else 0.0
-        else:
-            r_star, _ = polydisc_radius(ladder, K_sp, tuple_)
+        ladder = build_ladder(tuple_, theta, gap)
+        _, K_sp = resolvent_bound(ladder)
+        r_star, _ = polydisc_radius(ladder, K_sp, tuple_)
         table.append({"theta": theta, "r_star": r_star,
                       "tau_star": ladder.tau_star, "N_theta": ladder.N_theta})
     best = max(table, key=lambda row: (row["r_star"], -row["theta"]))
@@ -432,19 +421,21 @@ def optimize_theta(tuple_: MatrixTuple, gap: float, theta_grid,
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """All closed-form constants for one (tuple, weights, theta, gap)."""
+    """All closed-form constants for one (tuple, weights, theta, gap).
+
+    Every constant derived from K* is carried in log space, from log K*
+    (rigorous) or log K*_sp; chain radii keep their own K*_chain.
+    """
 
     ladder: GapLadder
     K_star: LogValue
     K_star_sp: float
     rigorous: bool
-    r_star: float
-    r_extension: float
-    log_r_star_rigorous: float
-    M_star: float
-    cauchy_first: float
-    cauchy_second: float
-    radius_convention: str
+    r_star: LogValue
+    r_extension: LogValue
+    M_star: LogValue
+    cauchy_first: LogValue
+    cauchy_second: LogValue
     joint: dict
     chain: dict | None
     boundary: dict | None
@@ -452,58 +443,41 @@ class CertificateReport:
 
 
 def certify(tuple_: MatrixTuple, p, theta: float, gap: float,
-            variant: str = "pessimistic", rigorous: bool = False,
-            radius_convention: str = "example", rho_A: float = 0.0,
+            rigorous: bool = False, rho_A: float = 0.0,
             chain_gap: float | None = None, c_exponent: float = 1.0,
             c_tau: float | None = None, gamma_tau: float | None = None,
             provenance: dict | None = None) -> CertificateReport:
-    """Assemble the full certificate report for one cocycle."""
+    """Assemble the full certificate report for one cocycle.
+
+    rigorous selects the explicit K* over the spectral-radius K*_sp; r*,
+    r*/2, M*, the Cauchy bounds (example convention) and the joint radii
+    all follow from that one log K.
+    """
     p = np.asarray(p, dtype=float)
     if p.shape != (tuple_.N,):
         raise ValueError(f"need {tuple_.N} weights, got shape {p.shape}")
     if np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-9:
         raise ValueError("weights must be a probability vector")
-    ladder = build_ladder(tuple_, theta, gap, variant)
+    ladder = build_ladder(tuple_, theta, gap)
     K_full, K_sp = resolvent_bound(ladder)
-    log_r_rig = log_polydisc_radius(ladder, K_full.log, tuple_)
-    if rigorous:
-        K_used = K_full.value
-        r_star = math.exp(log_r_rig) if log_r_rig > -690 else 0.0
-        r_ext = r_star / 2.0
-        M_star = sup_bound(ladder, K_used, tuple_) if not K_full.is_astronomical \
-            else math.inf
-    else:
-        K_used = K_sp
-        r_star, r_ext = polydisc_radius(ladder, K_sp, tuple_)
-        M_star = sup_bound(ladder, K_sp, tuple_)
-
+    log_K = K_full.log if rigorous else math.log(K_sp)
+    r_star = LogValue(log=log_polydisc_radius(ladder, log_K, tuple_))
+    M_star = sup_bound(ladder, log_K, tuple_)
     e1 = np.zeros(tuple_.N, dtype=int)
     e1[0] = 1
-    joint = joint_radii(tuple_, theta, K_used if math.isfinite(K_used) else K_sp,
-                        rho_A, p)
     chain = None
     if chain_gap is not None:
         chain = chain_radii(tuple_, theta, ladder, chain_gap, c_exponent, rho_A)
     boundary = None
     if c_tau is not None and gamma_tau is not None:
         boundary = boundary_constants(tuple_, theta, ladder, c_tau, gamma_tau)
-
-    if r_star > 0.0 and math.isfinite(M_star):
-        cauchy_first = cauchy_bound(M_star, r_star, e1, radius_convention)
-        cauchy_second = cauchy_bound(M_star, r_star, 2 * e1, radius_convention)
-    else:
-        # Rigorous K* is astronomical: r* underflows and the Cauchy bounds
-        # are only meaningful in log space (log M* - |alpha| log r*).
-        cauchy_first = math.inf
-        cauchy_second = math.inf
-
     return CertificateReport(
         ladder=ladder, K_star=K_full, K_star_sp=K_sp, rigorous=rigorous,
-        r_star=r_star, r_extension=r_ext, log_r_star_rigorous=log_r_rig,
+        r_star=r_star, r_extension=LogValue(log=r_star.log - LOG2),
         M_star=M_star,
-        cauchy_first=cauchy_first,
-        cauchy_second=cauchy_second,
-        radius_convention=radius_convention,
-        joint=joint, chain=chain, boundary=boundary,
+        cauchy_first=cauchy_bound(M_star, r_star, e1),
+        cauchy_second=cauchy_bound(M_star, r_star, 2 * e1),
+        joint=joint_radii(tuple_, theta, log_K, rho_A, p),
+        chain=chain, boundary=boundary,
         input_provenance=provenance or {},
     )

@@ -87,7 +87,6 @@ CONFIG_SCHEMA = {
                 "tMax": {"type": "number", "exclusiveMinimum": 0},
                 "cTau": {"type": ["number", "null"]},
                 "gammaTau": {"type": ["number", "null"]},
-                "gapProxy": {"enum": ["measured", "mc"]},
             },
         },
         "grassmann": {
@@ -104,10 +103,8 @@ CONFIG_SCHEMA = {
             "type": "object", "additionalProperties": False,
             "properties": {
                 "rigorousK": {"type": "boolean"},
-                "radiusConvention": {"enum": ["example", "theoremB-proof"]},
                 "chainExponent": {"type": "number", "exclusiveMinimum": 0,
                                   "maximum": 1},
-                "tau0Variant": {"enum": ["optimistic", "pessimistic"]},
                 "rhoA": {"type": "number", "minimum": 0},
             },
         },
@@ -134,10 +131,8 @@ MC_DEFAULTS = {"steps": 20_000, "trials": 12, "seed": 0,
 GRID_DEFAULT = 2000
 CONTOUR_DEFAULTS = {"radius": None, "nodes": 32, "order": 6, "direction": None}
 BOUNDARY_DEFAULTS = {"index": 0, "steps": 6, "tMax": None, "cTau": None,
-                     "gammaTau": None, "gapProxy": "measured"}
-FLAG_DEFAULTS = {"rigorousK": False, "radiusConvention": "example",
-                 "chainExponent": 1.0, "tau0Variant": "pessimistic",
-                 "rhoA": 0.0}
+                     "gammaTau": None}
+FLAG_DEFAULTS = {"rigorousK": False, "chainExponent": 1.0, "rhoA": 0.0}
 
 
 class ConfigError(ValueError):
@@ -309,14 +304,12 @@ def certificate_to_report(rep: cert.CertificateReport) -> dict:
     lad = rep.ladder
     inputs = {"theta": lad.theta, "gap": lad.gap, "ecc": lad.ecc}
     own_inputs = {
-        "tau0": {**inputs, "variant": lad.tau0_variant,
-                 "optimistic": lad.tau0_optimistic,
-                 "pessimistic": lad.tau0_pessimistic},
-        "cauchyFirst": {"order": 1, "convention": rep.radius_convention},
-        "cauchySecond": {"order": 2, "convention": rep.radius_convention},
+        "tau0": {**inputs, "optimistic": lad.tau0_optimistic,
+                 "pessimistic": lad.tau0},
+        "cauchyFirst": {"order": 1, "convention": "example"},
+        "cauchySecond": {"order": 2, "convention": "example"},
     }
     out = {"ladder": {}, "rigorous": rep.rigorous,
-           "radiusConvention": rep.radius_convention,
            "inputProvenance": rep.input_provenance}
     for key, (attr, formula_id) in REPORT_LEAVES.items():
         if attr is None:
@@ -330,10 +323,6 @@ def certificate_to_report(rep: cert.CertificateReport) -> dict:
         elif value is not None:
             (out["ladder"] if block else out)[key] = leaf(value, formula_id,
                                                           node_inputs)
-    if rep.rigorous:
-        # r* underflows to 0 under an astronomical K*; its log stays finite
-        out["rStar"]["logValue"] = rep.log_r_star_rigorous
-        out["rExtension"]["logValue"] = rep.log_r_star_rigorous - math.log(2.0)
     return out
 
 
@@ -345,9 +334,7 @@ def build_certificate(cfg: dict, spec: CocycleSpec,
     rep = cert.certify(
         spec.tuple, spec.weights if spec.kind == "iid"
         else np.full(spec.tuple.N, 1.0 / spec.tuple.N),
-        theta, gap,
-        variant=flags["tau0Variant"], rigorous=flags["rigorousK"],
-        radius_convention=flags["radiusConvention"], rho_A=flags["rhoA"],
+        theta, gap, rigorous=flags["rigorousK"], rho_A=flags["rhoA"],
         chain_gap=chain_gap, c_exponent=flags["chainExponent"],
         c_tau=cfg["boundary"]["cTau"], gamma_tau=cfg["boundary"]["gammaTau"],
         provenance={"gap": gap_prov})
@@ -433,11 +420,11 @@ def cmd_taylor(cfg, args):
         direction[0], direction[1] = 1.0, -1.0
     radius = ct["radius"]
     if radius is None:
-        radius = rep.r_extension
+        radius = rep.r_extension.value
         if not radius > 0.0:
             raise ConfigError(
                 "flags.rigorousK: the certified extension radius "
-                f"exp({rep.log_r_star_rigorous - math.log(2.0):.6g}) "
+                f"exp({rep.r_extension.log:.6g}) "
                 "underflows to 0; set contour.radius")
     basis = top.TransferBasis(spec.tuple, top.build_grid(cfg["grid"]["m"]))
     coeffs = top.taylor_coefficients(basis, spec.weights, direction,
@@ -455,8 +442,6 @@ def cmd_taylor(cfg, args):
                              "caveat": "finite-order surrogate"}),
         "certificateRadius": leaf(rep.r_star, REPORT_LEAVES["rStar"][1]),
     }
-    if rep.rigorous:
-        report["certificateRadius"]["logValue"] = rep.log_r_star_rigorous
     return EXIT_OK, report, None
 
 
@@ -466,10 +451,15 @@ def cmd_scan_boundary(cfg, args):
     if b["index"] >= spec.tuple.N:
         raise ConfigError(f"boundary.index {b['index']} needs an index "
                           f"below the {spec.tuple.N} weights")
+    p_index = spec.weights[b["index"]]
+    if b["tMax"] is not None and b["tMax"] >= p_index:
+        raise ConfigError(f"boundary.tMax {b['tMax']} must lie below "
+                          f"p0[{b['index']}] = {p_index}, so that p(t) stays "
+                          "inside the open simplex")
     out = ver.boundary_scan(
         spec.tuple, cfg["theta"], cfg["mc"], index=b["index"],
         steps=b["steps"], t_max=b["tMax"], grid_m=min(cfg["grid"]["m"], 600),
-        gap_proxy=b["gapProxy"], p0=spec.weights)
+        p0=spec.weights)
     csv_rows = [("t", "p_min", "gap", "r_star", "lower_bound")]
     for r in out["rows"]:
         log_lb = r.get("log_lower_bound")

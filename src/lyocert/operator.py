@@ -268,14 +268,8 @@ def chain_extension_value(P, basis: TransferBasis) -> complex:
     total mass 1; the value is sum_{i,j} P_ij eta_i(phi(A_j, .)).
     """
     _, eta = leading_eigenpair(assemble_chain_operator(P, basis))
-    m = basis.grid.m
-    P = np.asarray(P, dtype=complex)
-    val = 0.0 + 0.0j
-    for i in range(basis.tuple.N):
-        eta_i = eta[i * m:(i + 1) * m]
-        for j in range(basis.tuple.N):
-            val += P[i, j] * np.dot(eta_i, basis.phi[j])
-    return complex(val)
+    N, m = basis.tuple.N, basis.grid.m
+    return complex(np.sum(np.asarray(P) * (eta.reshape(N, m) @ basis.phi.T)))
 
 
 # ---------------------------------------------------------------------------

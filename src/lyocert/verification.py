@@ -109,6 +109,8 @@ def reproduce_reference_example() -> VerificationReport:
     for name, (target, rel_tol) in REFERENCE_TARGETS.items():
         measured = getattr(rep.ladder if hasattr(rep.ladder, name) else rep,
                            name)
+        if isinstance(measured, cert.LogValue):
+            measured = measured.value
         if rel_tol is None:
             _check(report, f"reference.{name}", measured == target, measured,
                    target, "exact")
@@ -136,7 +138,8 @@ def check_cauchy_dominance(tuple_: MatrixTuple, p0, theta: float, gap: float,
     report = VerificationReport()
     rep = cert.certify(tuple_, p0, theta, gap)
     basis = top.TransferBasis(tuple_, top.build_grid(grid_m))
-    r_c = contour_radius if contour_radius is not None else rep.r_extension
+    r_c = (contour_radius if contour_radius is not None
+           else rep.r_extension.value)
     Q = nodes if nodes is not None else max(4 * max_order, 16)
     N = tuple_.N
     for k in range(N - 1):
@@ -153,9 +156,9 @@ def check_cauchy_dominance(tuple_: MatrixTuple, p0, theta: float, gap: float,
             alpha[k] = j
             measured = abs(coeffs[j]) * math.factorial(j)
             bound_ex = cert.cauchy_bound(rep.M_star, rep.r_star, alpha,
-                                         "example")
+                                         "example").value
             bound_tb = cert.cauchy_bound(rep.M_star, rep.r_star, alpha,
-                                         "theoremB-proof")
+                                         "theoremB-proof").value
             _check(report, f"cauchy_dominance.dir{k}.order{j}",
                    measured <= bound_ex, measured, bound_ex,
                    "dominance (example convention)",
@@ -168,24 +171,20 @@ def check_cauchy_dominance(tuple_: MatrixTuple, p0, theta: float, gap: float,
 
 def boundary_scan(tuple_: MatrixTuple, theta: float, mc: dict,
                   index: int = 0, steps: int = 6, t_max: float | None = None,
-                  grid_m: int = 400, gap_proxy: str = "measured",
-                  p0=None) -> dict:
+                  grid_m: int = 400, p0=None) -> dict:
     """Certificate-radius sweep toward the simplex boundary.
 
     Lowers weight `index` from p0 (default uniform) by up to t_max (default
     0.9 p0[index]) along the line toward the opposite vertex, recording the
-    Lyapunov gap (Monte Carlo settings mc, row k at seed + k), a
-    spectral-gap proxy, and the radius of cert.certify. Fits log(spectral
-    gap) against log(p_min) by least squares for the decay exponent gamma,
-    sets the coefficient c_tau as the pointwise lower envelope of the fit,
-    and checks the resulting lower-bound chain r*(p(t)) >= c_E
-    p_min^alpha_E in log space at every scan point.
-
-    gap_proxy: "measured" uses the discretized second eigenvalue modulus;
-    "mc" uses the ladder composite rate at the Monte Carlo Lyapunov gap.
+    Lyapunov gap (Monte Carlo settings mc, row k at seed + k), the second
+    eigenvalue modulus rho2 of the discretized operator (d = 2 only, NaN
+    otherwise), and the radius of cert.certify. Fits the spectral-gap proxy
+    log(1 - rho2) against log(p_min) by least squares for the decay exponent
+    gamma, sets the coefficient c_tau as the pointwise lower envelope of the
+    fit, and checks the resulting lower-bound chain r*(p(t)) >= c_E
+    p_min^alpha_E in log space at every scan point. Without rho2 (d >= 3)
+    the fit is indeterminate.
     """
-    if gap_proxy not in ("measured", "mc"):
-        raise ValueError(f"unknown gap proxy {gap_proxy!r}")
     N = tuple_.N
     p0 = np.full(N, 1.0 / N) if p0 is None else np.asarray(p0, dtype=float)
     if t_max is None:
@@ -207,19 +206,17 @@ def boundary_scan(tuple_: MatrixTuple, theta: float, mc: dict,
         rho2 = (top.spectral_gap_measured(top.assemble_operator(basis, p))[0]
                 if basis is not None else float("nan"))
         certs.append(cert.certify(tuple_, p, theta, gap_hat))
-        proxy = (1.0 - rho2) if gap_proxy == "measured" \
-            else (1.0 - certs[-1].ladder.tau_star)
         rows.append({"t": float(t), "p_min": p_min, "gap": gap_hat,
                      "gap_stderr": gap_se, "rho2": rho2,
-                     "spectral_gap_proxy": proxy,
-                     "r_star": certs[-1].r_star})
+                     "r_star": certs[-1].r_star.value})
 
+    out = {"rows": rows, "seed": mc["seed"]}
     log_pmin = np.log([r["p_min"] for r in rows])
-    log_gap = np.log([max(r["spectral_gap_proxy"], 1e-300) for r in rows])
-    out = {"rows": rows, "gap_proxy": gap_proxy, "seed": mc["seed"]}
-    if np.ptp(log_gap) < 1e-6 or np.max(log_gap) < math.log(1e-8):
-        # constant proxy (within noise) or a gap at the numerical floor:
-        # no decay law can be fitted
+    log_gap = np.log([max(1.0 - r["rho2"], 1e-300) for r in rows])
+    if (basis is None or np.ptp(log_gap) < 1e-6
+            or np.max(log_gap) < math.log(1e-8)):
+        # no measured proxy, a constant proxy (within noise) or a gap at
+        # the numerical floor: no decay law can be fitted
         out.update({"fit": None, "indeterminate": True})
         return out
     gamma_hat, intercept = np.polyfit(log_pmin, log_gap, 1)
@@ -237,10 +234,10 @@ def boundary_scan(tuple_: MatrixTuple, theta: float, mc: dict,
     out["boundary_constants"] = {k: (v.to_dict() if hasattr(v, "to_dict")
                                      else v) for k, v in bc.items()}
     holds = []
-    for r in rows:
+    for r, c in zip(rows, certs):
         log_lower = bc["c_E"].log + bc["alpha_E"] * math.log(r["p_min"])
         r["log_lower_bound"] = log_lower
-        holds.append(math.log(r["r_star"]) >= log_lower)
+        holds.append(c.r_star.log >= log_lower)
     out["lower_bound_holds_everywhere"] = bool(all(holds))
     r_stars = [r["r_star"] for r in rows]
     out["r_star_nonincreasing"] = bool(
@@ -568,7 +565,7 @@ def collapse_scan(tuple_: MatrixTuple, p0, grid_m: int = 200,
         if theta is None or gap is None:
             raise ValueError("collapse_scan needs r_extension, or theta and "
                              "gap to certify it")
-        r_extension = cert.certify(tuple_, p0, theta, gap).r_extension
+        r_extension = cert.certify(tuple_, p0, theta, gap).r_extension.value
     if radii is None:
         radii = r_extension * np.geomspace(0.25, 20.0, 12)
     base = np.zeros(N)
@@ -580,7 +577,11 @@ def collapse_scan(tuple_: MatrixTuple, p0, grid_m: int = 200,
             z = p0 + t * phase * base
             try:
                 top.leading_eigenpair(top.assemble_operator(basis, z))
-            except top.EigenvalueCollisionError:
+            except (top.EigenvalueCollisionError, top.ResolventSolveError):
+                # Rows of P_z sum to sum(z) = 1, so 1 keeps the constant
+                # right eigenvector. A leading left vector of vanishing mass
+                # belongs to an eigenvalue that overtook 1 in modulus
+                # between two scanned radii: isolation is lost.
                 found = min(found, float(t))
                 break
     if math.isinf(found):

@@ -183,8 +183,9 @@ def test_criterion_6_cauchy_dominance():
     coeffs = op.taylor_coefficients(basis, P0, [1.0, -1.0], order=4,
                                     contour_radius=r_extension, nodes=16)
     first = abs(coeffs[1])
-    m_star = cert.sup_bound(ladder, k_sp, REFERENCE)
-    bound1 = cert.cauchy_bound(m_star, r_star, (1, 0), "example")
+    m_star = cert.sup_bound(ladder, math.log(k_sp), REFERENCE)
+    bound1 = cert.cauchy_bound(m_star, cert.LogValue(math.log(r_star)),
+                               (1, 0), "example").value
     if not (first < 10.0 < bound1 and bound1 > 1e6):
         problems.append(f"order-1 magnitude {first} vs bound {bound1}")
 
@@ -244,7 +245,7 @@ def test_criterion_9_boundary_scan():
     scan = ver.boundary_scan(
         REFERENCE, THETA, {"steps": 20000, "trials": 8, "seed": 0,
                            "burnin": 1000},
-        index=0, steps=6, grid_m=300, gap_proxy="measured")
+        index=0, steps=6, grid_m=300)
     problems = []
     if scan["indeterminate"]:
         problems.append("decay fit indeterminate")

@@ -45,7 +45,8 @@ class TestLadderPieces:
             1.0 - math.log(2.0) / (4.0 * math.log(8.0)))
         assert rates["optimistic"] == pytest.approx(
             math.exp(-11 * THETA * GAP / 2.0))
-        assert rates["tau0"] == rates["pessimistic"]
+        assert LADDER.tau0 == cert.oscillation_rate(
+            LADDER.n0, THETA, GAP, LADDER.ecc)["pessimistic"]
         with pytest.raises(ValueError):
             cert.oscillation_rate(11, THETA, GAP, 0.5)
 
@@ -92,8 +93,16 @@ class TestResolventAndRadii:
 
     def test_sup_bound_reference(self):
         _, k_sp = cert.resolvent_bound(LADDER)
-        assert cert.sup_bound(LADDER, k_sp, REFERENCE) == pytest.approx(
-            22.77, rel=5e-3)
+        assert cert.sup_bound(LADDER, math.log(k_sp),
+                              REFERENCE).value == pytest.approx(22.77,
+                                                                rel=5e-3)
+
+    def test_sup_bound_rejects_a_nonpositive_bracket(self):
+        # max_i(log||A_i|| + ecc(A_i) + 1) = log 0.05 + 2.25 < 0: M* would
+        # be negative, which bounds nothing and has no log.
+        T = geo.MatrixTuple.from_matrices([np.diag([0.05, 0.04])] * 2)
+        with pytest.raises(ValueError, match="sup bound needs"):
+            cert.sup_bound(cert.build_ladder(T, THETA, GAP), 0.0, T)
 
     def test_radius_rejects_nonpositive_K(self):
         with pytest.raises(ValueError):
@@ -101,24 +110,27 @@ class TestResolventAndRadii:
 
 
 class TestCauchyBound:
-    M, R = 22.77, 1.6458e-5
+    M, R = cert.LogValue(math.log(22.77)), cert.LogValue(math.log(1.6458e-5))
 
     def test_example_convention_matches_piecewise_rule(self):
         b1 = cert.cauchy_bound(self.M, self.R, (1, 0), "example")
         b2 = cert.cauchy_bound(self.M, self.R, (2, 0), "example")
-        assert b1 == pytest.approx(2.0 * self.M / self.R)
-        assert b2 == pytest.approx(2.0 * self.M / self.R ** 2)
+        assert b1.value == pytest.approx(2.0 * self.M.value / self.R.value)
+        assert b2.value == pytest.approx(2.0 * self.M.value
+                                         / self.R.value ** 2)
 
     def test_proof_convention(self):
         b2 = cert.cauchy_bound(self.M, self.R, (0, 2), "theoremB-proof")
-        assert b2 == pytest.approx(2.0 * self.M / (self.R / 2.0) ** 2)
+        assert b2.value == pytest.approx(2.0 * self.M.value
+                                         / (self.R.value / 2.0) ** 2)
 
     def test_order_zero_is_sup_bound(self):
         assert cert.cauchy_bound(self.M, self.R, (0, 0), "example") == self.M
 
     def test_multi_index_factorial(self):
         b = cert.cauchy_bound(self.M, self.R, (2, 3), "example")
-        assert b == pytest.approx(12.0 * self.M / self.R ** 5)
+        assert b.value == pytest.approx(12.0 * self.M.value
+                                        / self.R.value ** 5)
 
     def test_unknown_convention_rejected(self):
         with pytest.raises(ValueError):
@@ -130,7 +142,7 @@ class TestCauchyBound:
     def test_proof_convention_dominates_example(self, a, b):
         ex = cert.cauchy_bound(self.M, self.R, (a, b), "example")
         pf = cert.cauchy_bound(self.M, self.R, (a, b), "theoremB-proof")
-        assert pf >= ex
+        assert pf.log >= ex.log
 
 
 class TestGeometricConstants:
@@ -162,14 +174,18 @@ class TestGeometricConstants:
 class TestJointAndChainRadii:
     def test_joint_radii_positive(self):
         _, k_sp = cert.resolvent_bound(LADDER)
-        joint = cert.joint_radii(REFERENCE, THETA, k_sp, 0.01, (0.5, 0.5))
-        assert joint["r_star_A"] > 0.0 and joint["r_star_p"] > 0.0
+        joint = cert.joint_radii(REFERENCE, THETA, math.log(k_sp), 0.01,
+                                 (0.5, 0.5))
+        assert joint["r_star_A"].value > 0.0
+        assert joint["r_star_p"].value > 0.0
         assert joint["L_p"] > 0.0 and joint["L_A"] > 0.0
 
     def test_joint_weight_radius_shrinks_with_K(self):
-        j1 = cert.joint_radii(REFERENCE, THETA, 100.0, 0.01, (0.5, 0.5))
-        j2 = cert.joint_radii(REFERENCE, THETA, 1000.0, 0.01, (0.5, 0.5))
-        assert j2["r_star_p"] < j1["r_star_p"]
+        j1 = cert.joint_radii(REFERENCE, THETA, math.log(100.0), 0.01,
+                              (0.5, 0.5))
+        j2 = cert.joint_radii(REFERENCE, THETA, math.log(1000.0), 0.01,
+                              (0.5, 0.5))
+        assert j2["r_star_p"].value < j1["r_star_p"].value
 
     def test_chain_radii_reduce_to_tau0_for_strong_chains(self):
         # For rho_P > 1 - tau0 the ladder rate tau0 is binding, so the chain
@@ -252,10 +268,11 @@ class TestCertify:
         report = cert.certify(REFERENCE, (0.5, 0.5), THETA, GAP)
         assert report.ladder.n0 == 11
         assert report.ladder.N_theta == 1056
-        assert report.r_star == pytest.approx(1.6458e-5, rel=1e-3)
-        assert report.M_star == pytest.approx(22.77, rel=5e-3)
-        assert report.cauchy_first == pytest.approx(2.767e6, rel=1e-3)
-        assert report.cauchy_second == pytest.approx(1.682e11, rel=1e-3)
+        assert report.r_star.value == pytest.approx(1.6458e-5, rel=1e-3)
+        assert report.M_star.value == pytest.approx(22.77, rel=5e-3)
+        assert report.cauchy_first.value == pytest.approx(2.767e6, rel=1e-3)
+        assert report.cauchy_second.value == pytest.approx(1.682e11,
+                                                           rel=1e-3)
         assert report.chain is None
         assert not report.rigorous
 
@@ -265,10 +282,26 @@ class TestCertify:
         assert report.rigorous
         assert report.K_star.is_astronomical
         # exp(log r*) underflows double range; the log stays finite.
-        assert report.r_star == 0.0
-        assert math.isfinite(report.log_r_star_rigorous)
-        assert report.log_r_star_rigorous < -1000.0
-        assert report.cauchy_first == math.inf
+        assert report.r_star.value == 0.0
+        assert report.r_star.log == pytest.approx(-1902.634, abs=1e-3)
+        assert report.r_extension.log == report.r_star.log - math.log(2.0)
+        assert report.cauchy_first.value == math.inf
+        assert math.isfinite(report.cauchy_first.log)
+
+    def test_every_K_derived_constant_follows_the_chosen_K(self):
+        # Each constant scales as a power of K, so the two routes differ by
+        # that power of log K* - log K*_sp.
+        sp = cert.certify(REFERENCE, (0.5, 0.5), THETA, GAP)
+        rig = cert.certify(REFERENCE, (0.5, 0.5), THETA, GAP, rigorous=True)
+        shift = rig.K_star.log - math.log(rig.K_star_sp)
+        for name, power in (("r_star", -1), ("r_extension", -1),
+                            ("M_star", 1), ("cauchy_first", 2),
+                            ("cauchy_second", 3)):
+            assert (getattr(rig, name).log - getattr(sp, name).log
+                    == pytest.approx(power * shift, rel=1e-12)), name
+        for key in ("r_star_A", "r_star_p"):
+            assert (rig.joint[key].log - sp.joint[key].log
+                    == pytest.approx(-shift, rel=1e-12)), key
 
     def test_chain_and_boundary_blocks(self):
         report = cert.certify(REFERENCE, (0.5, 0.5), THETA, GAP,

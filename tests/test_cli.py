@@ -88,7 +88,12 @@ MALFORMED_CONFIGS = {
     "grid-m-4": _set(["grid", "m"], 4),
     "mc-steps-string": _set(["mc", "steps"], "x"),
     "matrix-entry-string": _set(["matrices", 0, 1, 0], "a"),
-    "bad-enum-flag": _set(["flags", "tau0Variant"], "median"),
+    "bad-flag-type": _set(["flags", "rigorousK"], "yes"),
+    # switches that had one value in use; a config carrying one is rejected
+    **{f"removed-{key}": _set([block, key], value)
+       for block, key, value in (("flags", "tau0Variant", "pessimistic"),
+                                 ("flags", "radiusConvention", "example"),
+                                 ("boundary", "gapProxy", "measured"))},
     "non-object": lambda cfg: [cfg],
 }
 
@@ -126,6 +131,16 @@ class TestConfigLoading:
         assert cli.load_config(None)["theta"] == 0.5
         assert run(["extend", "--z", "[[0.5, 0], [0.5, 0]]", "--grid-m",
                     "60", "--out", str(tmp_path / "z.json")]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("block", ["mc", "contour", "boundary", "flags"])
+    def test_defaults_cover_the_schema_block(self, block):
+        # A key on one side only would be a setting that cannot be set, or
+        # one that has no default.
+        defaults = {"mc": cli.MC_DEFAULTS, "contour": cli.CONTOUR_DEFAULTS,
+                    "boundary": cli.BOUNDARY_DEFAULTS,
+                    "flags": cli.FLAG_DEFAULTS}[block]
+        assert (defaults.keys()
+                == cli.CONFIG_SCHEMA["properties"][block]["properties"].keys())
 
     def test_default_is_packaged_reference(self, reference_cfg):
         assert reference_cfg["dimension"] == 2
@@ -261,15 +276,25 @@ class TestCertifyCommand:
 
     def test_rigorous_radii_report_their_logs(self, tmp_path,
                                              rigorous_cfg_path):
-        # The explicit K* has logValue 1898.9, so r* underflows to 0.
+        # The explicit K* has logValue 1898.9, so r* underflows to 0, and so
+        # do the joint radii, which take the same K*.
         code, report = run_json(["certify", "--config", rigorous_cfg_path],
                                 tmp_path)
         assert code == cli.EXIT_OK
+        assert report["rigorous"] is True
         assert report["rStar"]["value"] == 0
         assert report["rStar"]["logValue"] == pytest.approx(-1902.634,
                                                             abs=1e-3)
         assert (report["rStar"]["logValue"] - report["rExtension"]["logValue"]
                 == pytest.approx(math.log(2.0), abs=1e-12))
+        for key, log_value in (("r_star_A", -1904.713),
+                               ("r_star_p", -1903.327)):
+            assert report["joint"][key]["value"] == 0
+            assert report["joint"][key]["logValue"] == pytest.approx(
+                log_value, abs=1e-3)
+        for key in ("MStar", "cauchyFirst", "cauchySecond"):
+            assert report[key]["value"] == "inf"
+            assert math.isfinite(report[key]["logValue"])
 
     def test_reports_byte_identical(self, tmp_path):
         _, a = run_json(["certify", "--seed", "7"], tmp_path, "a.json")
@@ -337,6 +362,35 @@ class TestOtherCommands:
     def test_extend_rejects_malformed_z(self, z, capsys):
         assert run(["extend", "--z", z]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: --z must be")
+
+    def test_scan_boundary_rejects_t_max_past_the_scanned_weight(
+            self, tmp_path, reference_cfg, capsys):
+        cfg = copy.deepcopy(reference_cfg)
+        cfg["boundary"]["tMax"] = 0.6
+        path = tmp_path / "boundary.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["scan-boundary", "--config", str(path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "boundary.tMax 0.6" in err and "p0[0] = 0.5" in err
+
+    def test_scan_boundary_on_d3_has_no_fit(self, tmp_path, reference_cfg):
+        # The measured spectral-gap proxy needs the d = 2 operator.
+        cfg = copy.deepcopy(reference_cfg)
+        rng = np.random.default_rng(2)
+        cfg["dimension"] = 3
+        cfg["matrices"] = [geo.sample_matrix(rng, 3).tolist()
+                           for _ in range(2)]
+        cfg["mc"] = {"steps": 2000, "trials": 4, "seed": 0, "burnin": 1000}
+        cfg["boundary"]["steps"] = 3
+        path = tmp_path / "d3.json"
+        path.write_text(json.dumps(cfg))
+        code, report = run_json(["scan-boundary", "--config", str(path)],
+                                tmp_path)
+        assert code == cli.EXIT_OK
+        assert report["indeterminate"] is True
+        assert report["fit"] is None
+        assert "lower_bound_holds_everywhere" not in report
+        assert len(report["rows"]) == 3
 
     def test_scan_boundary_rejects_index_past_last_weight(
             self, tmp_path, reference_cfg, capsys):

@@ -373,6 +373,18 @@ class TestExtensionValues:
         with pytest.raises(ValueError):
             op.lyapunov_via_log_deriv(BASIS, P0, h=0.0)
 
+    @pytest.mark.parametrize("P", [[[0.7, 0.3], [0.4, 0.6]],
+                                   [[0.7 + 0.01j, 0.3 - 0.01j],
+                                    [0.4, 0.6]]], ids=["real", "complex"])
+    def test_chain_extension_is_the_blockwise_sum(self, P):
+        # sum_{i,j} P_ij eta_i(phi_j), one block pair at a time
+        _, eta = op.leading_eigenpair(op.assemble_chain_operator(P, BASIS))
+        m = BASIS.grid.m
+        want = sum(P[i][j] * np.dot(eta[i * m:(i + 1) * m], BASIS.phi[j])
+                   for i in range(2) for j in range(2))
+        got = op.chain_extension_value(P, BASIS)
+        assert abs(got - want) <= 1e-14 * max(1.0, abs(want))
+
     def test_chain_extension_identical_rows_reduces_to_iid(self):
         P = [[0.5, 0.5], [0.5, 0.5]]
         chain_val = op.chain_extension_value(P, BASIS).real

@@ -241,7 +241,7 @@ class TestBoundaryScan:
         scan = ver.boundary_scan(
             REFERENCE, 0.5,
             {"steps": 4000, "trials": 4, "seed": 0, "burnin": 1000},
-            steps=4, grid_m=300, gap_proxy="measured")
+            steps=4, grid_m=300)
         assert len(scan["rows"]) == 4
         assert not scan["indeterminate"]
         assert scan["r_star_positive"]
@@ -253,8 +253,7 @@ class TestBoundaryScan:
         # so the measured-gap decay fit is degenerate and must be flagged.
         g = np.diag([2.0, 0.5])
         T = geo.MatrixTuple.from_matrices([g, g])
-        scan = ver.boundary_scan(T, 0.5, MC_2000, steps=4, grid_m=150,
-                                 gap_proxy="measured")
+        scan = ver.boundary_scan(T, 0.5, MC_2000, steps=4, grid_m=150)
         assert scan["indeterminate"]
 
     def test_triangular_pair_fits_positive_exponent(self):
@@ -263,8 +262,7 @@ class TestBoundaryScan:
         # power, and the fitted lower envelope must hold at every row.
         T = geo.MatrixTuple.from_matrices([[[2.0, 1.0], [0.0, 0.5]],
                                            [[0.5, 1.0], [0.0, 2.0]]])
-        scan = ver.boundary_scan(T, 0.5, MC_2000, steps=5, grid_m=150,
-                                 gap_proxy="measured")
+        scan = ver.boundary_scan(T, 0.5, MC_2000, steps=5, grid_m=150)
         assert not scan["indeterminate"]
         assert scan["fit"]["gamma_hat"] > 0.0
         assert scan["lower_bound_holds_everywhere"]
@@ -285,10 +283,20 @@ class TestCollapseScan:
         p0, theta, gap = (0.3, 0.7), 0.4, 0.5
         scan = ver.collapse_scan(tuple_, p0, grid_m=40, radii=[1e-6],
                                  directions=1, theta=theta, gap=gap)
-        want = cert.certify(tuple_, p0, theta, gap).r_extension
+        want = cert.certify(tuple_, p0, theta, gap).r_extension.value
         assert scan["r_extension"] == want
         assert want != cert.certify(REFERENCE, p0, ver.REFERENCE_THETA,
-                                    ver.REFERENCE_GAP).r_extension
+                                    ver.REFERENCE_GAP).r_extension.value
+
+    def test_widened_scan_finds_the_collision_outside_the_polydisc(self):
+        # Past the first radius where isolation is lost, a leading left
+        # vector can have vanishing mass; that counts as lost isolation.
+        scan = ver.collapse_scan(REFERENCE, (0.5, 0.5), grid_m=201,
+                                 radii=np.geomspace(1e-3, 3.0, 40),
+                                 theta=ver.REFERENCE_THETA,
+                                 gap=ver.REFERENCE_GAP)
+        assert scan["collision_found"]
+        assert scan["outside_polydisc"]
 
     def test_radius_needs_theta_and_gap(self):
         with pytest.raises(ValueError):
