@@ -15,11 +15,12 @@ import csv
 import functools
 import json
 import math
+import re
 import sys
 import time
 from importlib import resources
+from typing import NamedTuple
 
-import jsonschema
 import numpy as np
 
 from . import certificates as cert
@@ -117,13 +118,6 @@ Z_SCHEMA = {
               "minItems": 2, "maxItems": 2},
 }
 
-# Validators built once: jsonschema.validate re-checks the constant schema
-# against the 2020-12 metaschema on every call, which cost most of a config
-# load. tests/test_cli.py checks both schemas against the metaschema.
-# best_match(iter_errors(x)) is the error that validate would raise.
-CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-Z_VALIDATOR = jsonschema.Draft202012Validator(Z_SCHEMA)
-
 # Every key the "mc" schema allows: cfg["mc"] holds exactly these four, so it
 # passes to the Monte Carlo estimators as keyword arguments.
 MC_DEFAULTS = {"steps": 20_000, "trials": 12, "seed": 0,
@@ -139,6 +133,179 @@ class ConfigError(ValueError):
     """The configuration file failed validation."""
 
 
+# ---------------------------------------------------------------------------
+# Schema validation. A Draft 2020-12 validator for the keywords that the two
+# schemas use. Its messages, its error order and its choice among several
+# errors are those of the reference Python implementation of JSON Schema,
+# which tests/test_cli.py checks it against.
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+_IS_TYPE = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+    "number": _is_number,
+    # JSON Schema counts 60.0 as an integer
+    "integer": lambda x: _is_number(x) and (isinstance(x, int)
+                                            or x.is_integer()),
+}
+# keyword -> (the instance violates the bound, message words)
+_BOUNDS = {
+    "minimum": (lambda x, b: x < b, "is less than the minimum of"),
+    "maximum": (lambda x, b: x > b, "is greater than the maximum of"),
+    "exclusiveMinimum": (lambda x, b: x <= b,
+                         "is less than or equal to the minimum of"),
+}
+
+
+class SchemaViolation(NamedTuple):
+    path: tuple  # keys and indices from the root
+    keyword: str
+    message: str
+    # whether the instance fails the violated schema's type (or it has none)
+    type_miss: bool
+    context: tuple = ()  # a failed oneOf's violations, branch by branch
+
+
+def schema_violations(schema: dict, x, path: tuple = ()):
+    """Each violation of schema by x, in the reference validator's order:
+    schema keywords in dict order, depth first."""
+    types = schema.get("type")
+    types = [types] if isinstance(types, str) else types
+    type_ok = types is not None and any(_IS_TYPE[t](x) for t in types)
+    is_object = isinstance(x, dict)
+
+    def fail(keyword, message, context=()):
+        return SchemaViolation(path, keyword, message, not type_ok, context)
+
+    for kw, arg in schema.items():
+        if kw == "type":
+            if not type_ok:
+                yield fail(kw, f"{x!r} is not of type "
+                               + ", ".join(map(repr, types)))
+        elif kw == "properties":
+            for key, sub in arg.items() if is_object else ():
+                if key in x:
+                    yield from schema_violations(sub, x[key], path + (key,))
+        elif kw == "additionalProperties":
+            extras = sorted(k for k in x if k not in schema.get(
+                "properties", {})) if is_object else []
+            if isinstance(arg, dict):
+                for key in extras:
+                    yield from schema_violations(arg, x[key], path + (key,))
+            elif extras and arg is False:
+                verb = "was" if len(extras) == 1 else "were"
+                yield fail(kw, "Additional properties are not allowed ("
+                               f"{', '.join(map(repr, extras))} {verb} "
+                               "unexpected)")
+        elif kw == "required":
+            for key in arg if is_object else ():
+                if key not in x:
+                    yield fail(kw, f"{key!r} is a required property")
+        elif kw == "oneOf":
+            branches = [tuple(schema_violations(sub, x, path)) for sub in arg]
+            valid = [sub for sub, errs in zip(arg, branches) if not errs]
+            if not valid:
+                yield fail(kw, f"{x!r} is not valid under any of the given "
+                               "schemas", sum(branches, ()))
+            elif len(valid) > 1:
+                yield fail(kw, f"{x!r} is valid under each of "
+                               + ", ".join(map(repr, valid[1:] + valid[:1])))
+        elif kw == "items":
+            for i, item in enumerate(x if isinstance(x, list) else ()):
+                yield from schema_violations(arg, item, path + (i,))
+        elif kw == "minItems":
+            if isinstance(x, list) and len(x) < arg:
+                yield fail(kw, f"{x!r} " + ("should be non-empty" if arg == 1
+                                            else "is too short"))
+        elif kw == "maxItems":
+            if isinstance(x, list) and len(x) > arg:
+                yield fail(kw, f"{x!r} " + ("is expected to be empty"
+                                            if arg == 0 else "is too long"))
+        elif kw in _BOUNDS:
+            violates, words = _BOUNDS[kw]
+            if _is_number(x) and violates(x, arg):
+                yield fail(kw, f"{x!r} {words} {arg!r}")
+        elif kw == "propertyNames":
+            for key in x if is_object else ():
+                yield from schema_violations(arg, key, path)
+        elif kw == "pattern":
+            if isinstance(x, str) and not re.search(arg, x):
+                yield fail(kw, f"{x!r} does not match {arg!r}")
+        else:
+            raise NotImplementedError(f"schema keyword {kw!r}")
+
+
+def _relevance(v: SchemaViolation) -> tuple:
+    # the reference's relevance: shallower, then later in path order, then
+    # not oneOf (a weak match), then a type mismatch
+    return (-len(v.path), v.path, v.keyword != "oneOf", v.type_miss)
+
+
+def best_violation(schema: dict, x) -> SchemaViolation | None:
+    """The violation of schema by x that the reference's best_match picks,
+    or None when x is valid."""
+    best = max(schema_violations(schema, x), key=_relevance, default=None)
+    while best is not None and best.context:
+        # descend to the deepest branch violation unless two tie
+        first, *second = sorted(best.context, key=_relevance)[:2]
+        if second and _relevance(first) == _relevance(second[0]):
+            break
+        best = first
+    return best
+
+
+def json_path(path: tuple) -> str:
+    """The JSONPath of a path of keys and indices, written as the
+    reference writes it."""
+    out = "$"
+    for key in path:
+        if isinstance(key, int):
+            out += f"[{key}]"
+        elif re.match("^[a-zA-Z][a-zA-Z0-9_]*$", key):
+            out += "." + key
+        else:
+            out += "['" + key.replace("\\", "\\\\").replace("'", "\\'") + "']"
+    return out
+
+
+def _integers_as_int(schema: dict, x):
+    """x, valid under schema, with every integer-typed value an int: the
+    schema admits 60.0 where the program indexes and counts."""
+    if schema.get("type") == "integer":
+        return int(x)
+    if isinstance(x, dict):
+        extra = schema.get("additionalProperties")
+        extra = extra if isinstance(extra, dict) else {}
+        props = schema.get("properties", {})
+        return {k: _integers_as_int(props.get(k, extra), v)
+                for k, v in x.items()}
+    if isinstance(x, list) and "items" in schema:
+        return [_integers_as_int(schema["items"], v) for v in x]
+    return x
+
+
+def _parse_json(text: str, prefix: str):
+    """json.loads that rejects NaN, Infinity, -Infinity and overflowing
+    numbers: they are not JSON, yet would pass the "number" type."""
+    def not_finite(token):
+        raise ConfigError(f"{prefix}: {token} is not a finite number")
+
+    def finite_float(token):
+        value = float(token)
+        return not_finite(token) if math.isinf(value) else value
+
+    try:
+        return json.loads(text, parse_constant=not_finite,
+                          parse_float=finite_float)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{prefix}: {exc}") from exc
+
+
 def load_config(path: str | None) -> dict:
     """Read and schema-validate a config; None loads the packaged default."""
     if path is None:
@@ -150,14 +317,12 @@ def load_config(path: str | None) -> dict:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    exc = jsonschema.exceptions.best_match(CONFIG_VALIDATOR.iter_errors(raw))
-    if exc is not None:
+    raw = _parse_json(text, "config is not valid JSON")
+    bad = best_violation(CONFIG_SCHEMA, raw)
+    if bad is not None:
         raise ConfigError(
-            f"config invalid at {exc.json_path}: {exc.message}") from exc
+            f"config invalid at {json_path(bad.path)}: {bad.message}")
+    raw = _integers_as_int(CONFIG_SCHEMA, raw)
     d = raw["dimension"]
     for i, m in enumerate(raw["matrices"]):
         arr = np.asarray(m, dtype=float)
@@ -378,14 +543,10 @@ def cmd_extend(cfg, args):
         raise ConfigError("extend requires iid weights")
     if args.z is None:
         raise ConfigError("extend requires --z as JSON [[re, im], ...]")
-    try:
-        zs = json.loads(args.z)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"--z must be JSON [[re, im], ...]: {exc}") from exc
-    exc = jsonschema.exceptions.best_match(Z_VALIDATOR.iter_errors(zs))
-    if exc is not None:
-        raise ConfigError(
-            f"--z must be JSON [[re, im], ...]: {exc.message}") from exc
+    zs = _parse_json(args.z, "--z must be JSON [[re, im], ...]")
+    bad = best_violation(Z_SCHEMA, zs)
+    if bad is not None:
+        raise ConfigError(f"--z must be JSON [[re, im], ...]: {bad.message}")
     z = np.array([complex(r, i) for r, i in zs])
     grid = top.build_grid(cfg["grid"]["m"])
     basis = top.TransferBasis(spec.tuple, grid)

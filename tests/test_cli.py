@@ -2,6 +2,7 @@ import copy
 import csv
 import json
 import math
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -121,17 +122,6 @@ class TestConfigLoading:
         assert str(got.value) == (f"config invalid at {want.value.json_path}"
                                   f": {want.value.message}")
 
-    def test_validation_does_not_recheck_schemas(self, monkeypatch,
-                                                 tmp_path):
-        def recheck(cls, schema):
-            raise AssertionError("schema re-checked against the metaschema")
-
-        monkeypatch.setattr(jsonschema.Draft202012Validator, "check_schema",
-                            classmethod(recheck))
-        assert cli.load_config(None)["theta"] == 0.5
-        assert run(["extend", "--z", "[[0.5, 0], [0.5, 0]]", "--grid-m",
-                    "60", "--out", str(tmp_path / "z.json")]) == cli.EXIT_OK
-
     @pytest.mark.parametrize("block", ["mc", "contour", "boundary", "flags"])
     def test_defaults_cover_the_schema_block(self, block):
         # A key on one side only would be a setting that cannot be set, or
@@ -178,6 +168,200 @@ class TestConfigLoading:
         path.write_text(json.dumps(bad))
         with pytest.raises(cli.ConfigError):
             cli.load_config(str(path))
+
+    @pytest.mark.parametrize("command,path,token", [
+        (["certify"], ["weights"], "NaN"),
+        (["certify"], ["gap"], "Infinity"),
+        (["taylor"], ["contour", "radius"], "NaN"),
+        (["certify"], ["theta"], "-Infinity"),
+        (["certify"], ["gap"], "1e999"),
+    ])
+    def test_non_finite_number_is_config_error(self, command, path, token,
+                                               tmp_path, reference_cfg,
+                                               capsys):
+        # JSON has no NaN or infinity, and 1e999 overflows to infinity; the
+        # "number" type would admit all of them.
+        cfg = copy.deepcopy(reference_cfg)
+        value = "@@" if path != ["weights"] else ["@@", 0.5]
+        _set(path, value)(cfg)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(cfg).replace('"@@"', token))
+        assert run(command + ["--config", str(bad)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: config is not valid JSON: {token} is not a finite "
+            "number\n")
+
+    def test_non_finite_z_is_config_error(self, capsys):
+        assert run(["extend", "--z", "[[NaN, 0], [0.5, 0]]"]) \
+            == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: --z must be JSON [[re, im], ...]: NaN is not a finite "
+            "number\n")
+
+    @pytest.mark.parametrize("argv,edits", [
+        (["extend", "--z", "[[0.5, 0], [0.5, 0]]"], {("grid", "m"): 60}),
+        (["estimate"], {("mc", "steps"): 500, ("mc", "trials"): 4,
+                        ("mc", "seed"): 3}),
+        (["scan-boundary"], {("boundary", "steps"): 3}),
+    ], ids=["extend", "estimate", "scan-boundary"])
+    def test_integral_float_in_integer_field_reads_as_int(
+            self, argv, edits, tmp_path, reference_cfg):
+        # JSON Schema counts 60.0 as an integer; the config loads as 60.
+        base = copy.deepcopy(reference_cfg)
+        base["mc"].update(steps=300, trials=2)
+        base["grid"]["m"] = 100
+        reports = []
+        for kind in (int, float):
+            cfg = copy.deepcopy(base)
+            for path, value in edits.items():
+                _set(list(path), kind(value))(cfg)
+            path = tmp_path / f"{kind.__name__}.json"
+            path.write_text(json.dumps(cfg))
+            loaded = cli.load_config(str(path))
+            assert all(type(loaded[b][k]) is int for b, k in edits)
+            out = tmp_path / f"{kind.__name__}-report.json"
+            assert run(argv + ["--config", str(path), "--out", str(out)]) \
+                == cli.EXIT_OK
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
+
+# Values that break one rule or another of the schemas. No NaN or infinity:
+# the JSON parser rejects those before validation.
+ODD_VALUES = ["x", "", True, False, None, 0, -1, 1, 2, 7, 60.0, 0.5, 1.5,
+              -0.5, 1e6, [], [1.0], [[1, 2]], [0.5, "a"], {}, {"1": 0.5},
+              {"a": 1}]
+ODD_NUMBERS = [-1, 0, 0.0, 1, 1.0, 1.0000001, 2, 3, 7, 8.0, -2.5, 1e-300]
+ODD_KEYS = ["surprise", "0", "1", "12", "01", "a b", "it's", "x\\y", "k9_"]
+
+
+def _nodes(x, path=()):
+    """(path, value) of x and of every value inside it."""
+    yield path, x
+    items = (x.items() if isinstance(x, dict)
+             else enumerate(x) if isinstance(x, list) else ())
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _schema_paths(schema, path=()):
+    """Paths of the properties that schema names, present or not."""
+    for key, sub in schema.get("properties", {}).items():
+        yield path + (key,)
+        yield from _schema_paths(sub, path + (key,))
+
+
+def _mutate(rng, x, schema):
+    """x with one random edit: a new value, a number moved, a key deleted
+    or added, or a list grown or shrunk."""
+    nodes = list(_nodes(x))
+    op = rng.randrange(5)
+    if op == 0:  # any value, at any path the instance or schema has
+        paths = [p for p, _ in nodes if p] + list(_schema_paths(schema))
+        path = rng.choice(paths) if paths else ()
+        value = copy.deepcopy(rng.choice(ODD_VALUES))
+    elif op == 1:  # a number somewhere else on the line
+        paths = [p for p, v in nodes if isinstance(v, (int, float))]
+        path = rng.choice(paths) if paths else ()
+        value = rng.choice(ODD_NUMBERS)
+    else:
+        kind = dict if op < 4 else list
+        parents = [p for p, v in nodes if isinstance(v, kind)]
+        if not parents:
+            return copy.deepcopy(rng.choice(ODD_VALUES))
+        parent = dict(nodes)[rng.choice(parents)]
+        if op == 2:  # delete a key
+            if parent:
+                del parent[rng.choice(list(parent))]
+        elif op == 3:  # add an unknown key
+            parent[rng.choice(ODD_KEYS)] = copy.deepcopy(
+                rng.choice(ODD_VALUES))
+        elif parent and rng.random() < 0.5:  # shrink a list
+            parent.pop()
+        else:  # grow a list
+            parent.append(copy.deepcopy(rng.choice(ODD_VALUES + parent)))
+        return x
+    if not path:
+        return value
+    parent = x
+    for key in path[:-1]:
+        try:
+            parent = parent[key]
+        except (KeyError, IndexError, TypeError):
+            return x  # the path was cut by an earlier edit
+    if isinstance(parent, dict) or (isinstance(parent, list)
+                                    and isinstance(path[-1], int)
+                                    and path[-1] < len(parent)):
+        parent[path[-1]] = value
+    return x
+
+
+def _mutated_corpus(seed, bases, schema, count):
+    rng = random.Random(seed)
+    corpus = []
+    for _ in range(count):
+        x = copy.deepcopy(rng.choice(bases))
+        for _ in range(rng.randint(1, 3)):
+            x = _mutate(rng, x, schema)
+        corpus.append(x)
+    return corpus
+
+
+class TestSchemaParity:
+    """The validator against jsonschema, the reference implementation."""
+
+    @staticmethod
+    def verdicts(schema, corpus):
+        reference = jsonschema.Draft202012Validator(schema)
+        for x in corpus:
+            want = jsonschema.exceptions.best_match(reference.iter_errors(x))
+            got = cli.best_violation(schema, x)
+            yield x, (None if want is None
+                      else (want.json_path, want.message, want.validator)), (
+                None if got is None
+                else (cli.json_path(got.path), got.message, got.keyword))
+
+    def test_mutated_configs_match_jsonschema(self, reference_cfg):
+        chain = copy.deepcopy(reference_cfg)
+        del chain["weights"]
+        chain["transition"] = [[0.7, 0.3], [0.4, 0.6]]
+        chain["grassmann"]["gaps"] = {"1": 0.3}
+        single = copy.deepcopy(reference_cfg)
+        single["matrices"], single["weights"] = single["matrices"][:1], [1.0]
+        corpus = _mutated_corpus(7, [reference_cfg, chain, single],
+                                 cli.CONFIG_SCHEMA, 300)
+        results = list(self.verdicts(cli.CONFIG_SCHEMA, corpus))
+        assert [(x, want) for x, want, got in results if want != got] == []
+        keywords = {want[2] for _, want, _ in results if want}
+        assert keywords == {"type", "additionalProperties", "required",
+                            "oneOf", "minimum", "maximum",
+                            "exclusiveMinimum", "minItems", "pattern"}
+        assert sum(want is None for _, want, _ in results) >= 10
+
+    def test_mutated_z_match_jsonschema(self):
+        corpus = _mutated_corpus(8, [[[0.5, 0.0], [0.5, 0.0]],
+                                     [[0.5001, 1e-5], [0.4999, -1e-5]]],
+                                 cli.Z_SCHEMA, 100)
+        results = list(self.verdicts(cli.Z_SCHEMA, corpus))
+        assert [(x, want) for x, want, got in results if want != got] == []
+        assert {want[2] for _, want, _ in results if want} == {
+            "type", "minItems", "maxItems"}
+
+    def test_validator_implements_every_schema_keyword(self):
+        def subschemas(schema):
+            yield schema
+            for key, arg in schema.items():
+                subs = (arg.values() if key == "properties"
+                        else arg if key == "oneOf"
+                        else [arg] if isinstance(arg, dict) else [])
+                for sub in subs:
+                    yield from subschemas(sub)
+
+        for schema in (cli.CONFIG_SCHEMA, cli.Z_SCHEMA):
+            for sub in subschemas(schema):
+                list(cli.schema_violations(sub, None))  # raises if unknown
+        with pytest.raises(NotImplementedError, match="'const'"):
+            list(cli.schema_violations({"const": 1}, 1))
 
 
 class TestExitCodes:
@@ -614,19 +798,24 @@ class TestOtherCommands:
 
 # Runs in a fresh interpreter: argv is the source root, a config with a
 # small Monte Carlo budget, the extend --z argument and a report path.
-# Prints, after each command, whether SciPy has been imported.
+# Prints, after the import and after each command, whether SciPy and
+# whether jsonschema have been imported.
 FRESH_START = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import lyocert.cli as cli
 small_mc, z, out = sys.argv[2:]
 cli.load_config(None)
-loaded = {"import": "scipy" in sys.modules}
+loaded = {"scipy": {}, "jsonschema": {}}
+def record(stage):
+    for name in loaded:
+        loaded[name][stage] = name in sys.modules
+record("import")
 for argv in (["certify"], ["example"], ["grassmann"],
              ["estimate", "--config", small_mc],
              ["extend", "--grid-m", "60", "--z", z]):
     assert cli.main(argv + ["--out", out]) == cli.EXIT_OK, argv
-    loaded[argv[0]] = "scipy" in sys.modules
+    record(argv[0])
 print(json.dumps(loaded))
 """
 
@@ -635,7 +824,8 @@ def test_scipy_loads_only_when_an_operator_is_built(tmp_path,
                                                      reference_cfg):
     # The closed-form commands never import SciPy, which would cost them
     # about half of their start-up; extend then loads it on first use and
-    # reports what an interpreter that imported SciPy first reports.
+    # reports what an interpreter that imported SciPy first reports. No
+    # command imports jsonschema: configs are validated without it.
     cfg = copy.deepcopy(reference_cfg)
     cfg["mc"] = {"steps": 300, "trials": 2}
     small_mc = tmp_path / "small_mc.json"
@@ -645,9 +835,11 @@ def test_scipy_loads_only_when_an_operator_is_built(tmp_path,
     done = subprocess.run(
         [sys.executable, "-c", FRESH_START, SRC, str(small_mc), z,
          str(fresh)], capture_output=True, text=True, check=True, timeout=300)
-    assert json.loads(done.stdout) == {
+    loaded = json.loads(done.stdout)
+    assert loaded["scipy"] == {
         "import": False, "certify": False, "example": False,
         "grassmann": False, "estimate": False, "extend": True}
+    assert loaded["jsonschema"] == dict.fromkeys(loaded["scipy"], False)
     here = tmp_path / "here.json"
     assert cli.main(["extend", "--grid-m", "60", "--z", z,
                      "--out", str(here)]) == cli.EXIT_OK

@@ -5,6 +5,7 @@ import pytest
 
 import lyocert.certificates as cert
 import lyocert.geometry as geo
+import lyocert.operator as top
 import lyocert.verification as ver
 
 
@@ -154,10 +155,48 @@ def test_grid_holder_seminorm_matches_all_pairs(m, theta):
     dists = np.abs(np.sin(angles[:, None] - angles[None, :]))
     np.fill_diagonal(dists, 1.0)
     rng = np.random.default_rng(m)
-    for f in [rng.standard_normal(m), np.cos(2 * angles) + 0.1 * angles]:
+    fs = [rng.standard_normal(m), np.cos(2 * angles) + 0.1 * angles]
+    stacked = ver._grid_holder_seminorm(np.array(fs), theta)
+    for f, row in zip(fs, stacked):
         want = np.max(np.abs(f[:, None] - f[None, :]) / dists ** theta)
         got = ver._grid_holder_seminorm(f, theta)
         assert abs(got - want) <= 1e-13 * want
+        assert row == got  # a row of a stack is the function on its own
+
+
+def test_stacked_transfer_norm_check_matches_per_function_loop():
+    # The check as one T @ f and one Holder quotient per test function,
+    # with the same draws, bound and skip of near-zero functions.
+    theta, grid_m, functions, slack = 0.5, 200, 200, 0.05
+    rng = np.random.default_rng(2)
+    basis = top.TransferBasis(REFERENCE, top.build_grid(grid_m))
+    angles = basis.grid.angles
+
+    def holder_norm(f):
+        return float(np.max(np.abs(f))) + float(
+            ver._grid_holder_seminorm(f, theta))
+
+    worst, violations = 0.0, 0
+    for i, T in enumerate(basis.blocks):
+        bound = 1.0 + REFERENCE.eccentricities[i] ** (2.0 * theta) + slack
+        for _ in range(functions // REFERENCE.N + 1):
+            freqs = rng.integers(1, 6, size=3)
+            coefs = rng.standard_normal((3, 2))
+            f = sum(c[0] * np.cos(2 * fq * angles)
+                    + c[1] * np.sin(2 * fq * angles)
+                    for fq, c in zip(freqs, coefs))
+            nf = holder_norm(f)
+            if nf < 1e-12:
+                continue
+            ratio = holder_norm(T @ f) / nf
+            worst = max(worst, ratio / bound)
+            violations += ratio > bound
+    record, = ver.holder_operator_norm_check(
+        REFERENCE, theta, grid_m=grid_m, functions=functions,
+        slack=slack).checks
+    assert record.measured == violations == 0
+    assert record.detail == f"worst ratio/bound {worst:.6f}" \
+        == "worst ratio/bound 0.351297"
 
 
 def test_batched_exterior_norm_check_matches_per_sample_loop():
