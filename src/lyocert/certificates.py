@@ -138,12 +138,12 @@ def resolvent_bound(ladder: GapLadder) -> tuple[LogValue, float]:
     """Resolvent bound on the isolating circle: (K*, K*_sp).
 
     K* is the fully explicit form 1/rho* + N_theta ||R||^(N_theta - 1) /
-    ((1 - rho*)^N_theta - tau*) with ||R|| = max(R_norm_bound, 2), computed
-    in log space since ||R||^(N_theta - 1) is typically astronomical.
+    ((1 - rho*)^N_theta - tau*) with ||R|| = R_norm_bound, computed in log
+    space since ||R||^(N_theta - 1) is typically astronomical.
     K*_sp = 4 / (1 - tau*^(1/N_theta)) is the spectral-radius approximation.
     """
     rho, tau, N = ladder.rho_star, ladder.tau_star, ladder.N_theta
-    R = max(ladder.R_norm_bound, 2.0)
+    R = ladder.R_norm_bound
     denom = math.exp(N * math.log1p(-rho)) - tau
     if denom <= 0.0:
         raise IsolatingCircleError(
@@ -334,16 +334,16 @@ def boundary_constants(tuple_: MatrixTuple, theta: float, ladder: GapLadder,
                        c_tau: float, gamma_tau: float) -> dict:
     """Constants (C_K, c_E, alpha_E) of the boundary-degeneration bound.
 
-    C_K = 2 N_theta (1 + (2 + max ecc^2theta)^(N_theta - 1)) is astronomical
-    for realistic ladders and is carried in log space, as is c_E.
+    C_K = 2 N_theta (1 + ||R||^(N_theta - 1)), with the ladder's
+    ||R|| = R_norm_bound, is astronomical for realistic ladders and is
+    carried in log space, as is c_E.
     """
     if c_tau <= 0.0:
         raise ValueError("c_tau must be > 0")
     if gamma_tau <= 0.0:
         raise ValueError("gamma_tau must be > 0")
-    b = 2.0 + float(np.max(tuple_.eccentricities ** (2.0 * theta)))
-    log_CK = math.log(2.0 * ladder.N_theta) + float(
-        np.logaddexp(0.0, (ladder.N_theta - 1) * math.log(b)))
+    log_CK = math.log(2.0 * ladder.N_theta) + float(np.logaddexp(
+        0.0, (ladder.N_theta - 1) * math.log(ladder.R_norm_bound)))
     log_cE = (math.log(c_tau)
               - math.log(4.0 * tuple_.N * perturbation_factor(tuple_, theta))
               - log_CK)

@@ -2,10 +2,12 @@
 
 Subcommands: estimate, certify, extend, taylor, scan-boundary, chain,
 grassmann, verify, example. Configuration is a JSON file validated against
-a strict schema (unknown keys rejected); reports are JSON with every
-constant wrapped as {value, logValue, formulaId, inputs} and floats
-rendered with 17 significant digits. Exit codes: 0 success, 1 validation
-error, 2 verification failure, 3 numeric error.
+a strict schema (unknown keys rejected), which holds every setting's type,
+range and default; the --theta, --seed and --grid-m overrides are checked
+against the same schema entries. Reports are JSON with every constant
+wrapped as {value, logValue, formulaId, inputs} and floats rendered with
+17 significant digits. Exit codes: 0 success, 1 validation error,
+2 verification failure, 3 numeric error.
 """
 
 from __future__ import annotations
@@ -56,57 +58,64 @@ CONFIG_SCHEMA = {
                        "items": {"type": "array",
                                  "items": {"type": "number"}}},
         "theta": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-        "gap": {"type": ["number", "null"]},
+        "gap": {"type": ["number", "null"], "default": None},
+        # cfg["mc"] passes whole to the Monte Carlo estimators as keywords
         "mc": {
-            "type": "object", "additionalProperties": False,
+            "type": "object", "additionalProperties": False, "default": {},
             "properties": {
-                "steps": {"type": "integer", "minimum": 1},
-                "trials": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer", "minimum": 0},
-                "burnin": {"type": "integer", "minimum": 0},
+                "steps": {"type": "integer", "minimum": 1, "default": 20_000},
+                "trials": {"type": "integer", "minimum": 1, "default": 12},
+                "seed": {"type": "integer", "minimum": 0, "default": 0},
+                "burnin": {"type": "integer", "minimum": 0,
+                           "default": DEFAULT_BURNIN},
             },
         },
         "grid": {
-            "type": "object", "additionalProperties": False,
-            "properties": {"m": {"type": "integer", "minimum": 8}},
+            "type": "object", "additionalProperties": False, "default": {},
+            "properties": {"m": {"type": "integer", "minimum": 8,
+                                 "default": 2000}},
         },
         "contour": {
-            "type": "object", "additionalProperties": False,
+            "type": "object", "additionalProperties": False, "default": {},
             "properties": {
-                "radius": {"type": ["number", "null"]},
-                "nodes": {"type": "integer", "minimum": 4},
-                "order": {"type": "integer", "minimum": 1},
+                "radius": {"type": ["number", "null"], "default": None},
+                "nodes": {"type": "integer", "minimum": 4, "default": 32},
+                "order": {"type": "integer", "minimum": 1, "default": 6},
                 "direction": {"type": ["array", "null"],
-                              "items": {"type": "number"}},
+                              "items": {"type": "number"}, "default": None},
             },
         },
         "boundary": {
-            "type": "object", "additionalProperties": False,
+            "type": "object", "additionalProperties": False, "default": {},
             "properties": {
-                "index": {"type": "integer", "minimum": 0},
-                "steps": {"type": "integer", "minimum": 2},
-                "tMax": {"type": "number", "exclusiveMinimum": 0},
-                "cTau": {"type": ["number", "null"]},
-                "gammaTau": {"type": ["number", "null"]},
+                "index": {"type": "integer", "minimum": 0, "default": 0},
+                "steps": {"type": "integer", "minimum": 2, "default": 6},
+                # null: 0.9 p0[index]
+                "tMax": {"type": ["number", "null"], "exclusiveMinimum": 0,
+                         "default": None},
+                "cTau": {"type": ["number", "null"], "default": None},
+                "gammaTau": {"type": ["number", "null"], "default": None},
             },
         },
         "grassmann": {
-            "type": "object", "additionalProperties": False,
+            "type": "object", "additionalProperties": False, "default": {},
             "properties": {
                 "levels": {"type": "array",
-                           "items": {"type": "integer", "minimum": 1}},
+                           "items": {"type": "integer", "minimum": 1},
+                           "default": []},
                 "gaps": {"type": "object",
                          "propertyNames": {"pattern": "^[1-9][0-9]*$"},
-                         "additionalProperties": {"type": "number"}},
+                         "additionalProperties": {"type": "number"},
+                         "default": {}},
             },
         },
         "flags": {
-            "type": "object", "additionalProperties": False,
+            "type": "object", "additionalProperties": False, "default": {},
             "properties": {
-                "rigorousK": {"type": "boolean"},
+                "rigorousK": {"type": "boolean", "default": False},
                 "chainExponent": {"type": "number", "exclusiveMinimum": 0,
-                                  "maximum": 1},
-                "rhoA": {"type": "number", "minimum": 0},
+                                  "maximum": 1, "default": 1.0},
+                "rhoA": {"type": "number", "minimum": 0, "default": 0.0},
             },
         },
     },
@@ -117,17 +126,6 @@ Z_SCHEMA = {
     "items": {"type": "array", "items": {"type": "number"},
               "minItems": 2, "maxItems": 2},
 }
-
-# Every key the "mc" schema allows: cfg["mc"] holds exactly these four, so it
-# passes to the Monte Carlo estimators as keyword arguments.
-MC_DEFAULTS = {"steps": 20_000, "trials": 12, "seed": 0,
-               "burnin": DEFAULT_BURNIN}
-GRID_DEFAULT = 2000
-CONTOUR_DEFAULTS = {"radius": None, "nodes": 32, "order": 6, "direction": None}
-BOUNDARY_DEFAULTS = {"index": 0, "steps": 6, "tMax": None, "cTau": None,
-                     "gammaTau": None}
-FLAG_DEFAULTS = {"rigorousK": False, "chainExponent": 1.0, "rhoA": 0.0}
-
 
 class ConfigError(ValueError):
     """The configuration file failed validation."""
@@ -166,25 +164,19 @@ class SchemaViolation(NamedTuple):
     path: tuple  # keys and indices from the root
     keyword: str
     message: str
-    # whether the instance fails the violated schema's type (or it has none)
-    type_miss: bool
-    context: tuple = ()  # a failed oneOf's violations, branch by branch
 
 
 def schema_violations(schema: dict, x, path: tuple = ()):
     """Each violation of schema by x, in the reference validator's order:
-    schema keywords in dict order, depth first."""
-    types = schema.get("type")
-    types = [types] if isinstance(types, str) else types
-    type_ok = types is not None and any(_IS_TYPE[t](x) for t in types)
+    schema keywords in dict order, depth first. A default is an
+    annotation and checks nothing."""
     is_object = isinstance(x, dict)
-
-    def fail(keyword, message, context=()):
-        return SchemaViolation(path, keyword, message, not type_ok, context)
+    fail = functools.partial(SchemaViolation, path)
 
     for kw, arg in schema.items():
         if kw == "type":
-            if not type_ok:
+            types = [arg] if isinstance(arg, str) else arg
+            if not any(_IS_TYPE[t](x) for t in types):
                 yield fail(kw, f"{x!r} is not of type "
                                + ", ".join(map(repr, types)))
         elif kw == "properties":
@@ -207,11 +199,11 @@ def schema_violations(schema: dict, x, path: tuple = ()):
                 if key not in x:
                     yield fail(kw, f"{key!r} is a required property")
         elif kw == "oneOf":
-            branches = [tuple(schema_violations(sub, x, path)) for sub in arg]
-            valid = [sub for sub, errs in zip(arg, branches) if not errs]
+            valid = [sub for sub in arg
+                     if next(schema_violations(sub, x, path), None) is None]
             if not valid:
                 yield fail(kw, f"{x!r} is not valid under any of the given "
-                               "schemas", sum(branches, ()))
+                               "schemas")
             elif len(valid) > 1:
                 yield fail(kw, f"{x!r} is valid under each of "
                                + ", ".join(map(repr, valid[1:] + valid[:1])))
@@ -236,27 +228,23 @@ def schema_violations(schema: dict, x, path: tuple = ()):
         elif kw == "pattern":
             if isinstance(x, str) and not re.search(arg, x):
                 yield fail(kw, f"{x!r} does not match {arg!r}")
-        else:
+        elif kw != "default":
             raise NotImplementedError(f"schema keyword {kw!r}")
-
-
-def _relevance(v: SchemaViolation) -> tuple:
-    # the reference's relevance: shallower, then later in path order, then
-    # not oneOf (a weak match), then a type mismatch
-    return (-len(v.path), v.path, v.keyword != "oneOf", v.type_miss)
 
 
 def best_violation(schema: dict, x) -> SchemaViolation | None:
     """The violation of schema by x that the reference's best_match picks,
-    or None when x is valid."""
-    best = max(schema_violations(schema, x), key=_relevance, default=None)
-    while best is not None and best.context:
-        # descend to the deepest branch violation unless two tie
-        first, *second = sorted(best.context, key=_relevance)[:2]
-        if second and _relevance(first) == _relevance(second[0]):
-            break
-        best = first
-    return best
+    or None when x is valid: the shallowest, then the latest in path order,
+    then not a oneOf (a weak match), then the first.
+
+    best_match has two more rules, which change nothing while the schemas
+    keep two conditions. It descends into a failed oneOf's branches unless
+    the two best tie: the one oneOf has two bare "required" branches, which
+    fail alike. It prefers a violation whose instance fails its schema's
+    type: no two typed sub-schemas apply at one path (propertyNames' has no
+    type). A schema edit that breaks a condition needs its rule back."""
+    return max(schema_violations(schema, x), default=None,
+               key=lambda v: (-len(v.path), v.path, v.keyword != "oneOf"))
 
 
 def json_path(path: tuple) -> str:
@@ -273,20 +261,24 @@ def json_path(path: tuple) -> str:
     return out
 
 
-def _integers_as_int(schema: dict, x):
-    """x, valid under schema, with every integer-typed value an int: the
-    schema admits 60.0 where the program indexes and counts."""
+def _with_defaults(schema: dict, x):
+    """x, valid under schema, as a new object: every integer-typed value an
+    int (the schema admits 60.0 where the program indexes and counts), and
+    after the keys of each object the defaults of the properties it lacks."""
     if schema.get("type") == "integer":
         return int(x)
-    if isinstance(x, dict):
-        extra = schema.get("additionalProperties")
-        extra = extra if isinstance(extra, dict) else {}
-        props = schema.get("properties", {})
-        return {k: _integers_as_int(props.get(k, extra), v)
-                for k, v in x.items()}
-    if isinstance(x, list) and "items" in schema:
-        return [_integers_as_int(schema["items"], v) for v in x]
-    return x
+    if isinstance(x, list):
+        return [_with_defaults(schema.get("items", {}), v) for v in x]
+    if not isinstance(x, dict):
+        return x
+    extra = schema.get("additionalProperties")
+    extra = extra if isinstance(extra, dict) else {}
+    props = schema.get("properties", {})
+    out = {k: _with_defaults(props.get(k, extra), v) for k, v in x.items()}
+    for k, sub in props.items():
+        if k not in out and "default" in sub:
+            out[k] = _with_defaults(sub, sub["default"])
+    return out
 
 
 def _parse_json(text: str, prefix: str):
@@ -307,7 +299,8 @@ def _parse_json(text: str, prefix: str):
 
 
 def load_config(path: str | None) -> dict:
-    """Read and schema-validate a config; None loads the packaged default."""
+    """Read and schema-validate a config, with every default filled in;
+    None loads the packaged default."""
     if path is None:
         text = resources.files("lyocert").joinpath(
             "data/reference_config.json").read_text()
@@ -322,31 +315,25 @@ def load_config(path: str | None) -> dict:
     if bad is not None:
         raise ConfigError(
             f"config invalid at {json_path(bad.path)}: {bad.message}")
-    raw = _integers_as_int(CONFIG_SCHEMA, raw)
-    d = raw["dimension"]
-    for i, m in enumerate(raw["matrices"]):
-        arr = np.asarray(m, dtype=float)
-        if arr.shape != (d, d):
-            raise ConfigError(
-                f"config invalid at $.matrices[{i}]: expected a {d}x{d} "
-                f"matrix, got shape {arr.shape}")
-    cfg = dict(raw)
-    cfg["mc"] = {**MC_DEFAULTS, **raw.get("mc", {})}
-    cfg["grid"] = {"m": GRID_DEFAULT, **raw.get("grid", {})}
-    cfg["contour"] = {**CONTOUR_DEFAULTS, **raw.get("contour", {})}
-    cfg["boundary"] = {**BOUNDARY_DEFAULTS, **raw.get("boundary", {})}
-    cfg["flags"] = {**FLAG_DEFAULTS, **raw.get("flags", {})}
-    cfg.setdefault("grassmann", {"levels": [], "gaps": {}})
-    cfg["grassmann"].setdefault("levels", [])
-    cfg["grassmann"].setdefault("gaps", {})
-    cfg.setdefault("gap", None)
+    cfg = _with_defaults(CONFIG_SCHEMA, raw)
+    # each matrix is d x d and the transition N x N; rows are measured one
+    # by one, since a ragged list makes no array
+    squares = {f"$.matrices[{i}]": (m, cfg["dimension"])
+               for i, m in enumerate(cfg["matrices"])}
+    if "transition" in cfg:
+        squares["$.transition"] = (cfg["transition"], len(cfg["matrices"]))
+    for where, (rows, n) in squares.items():
+        widths = {len(row) for row in rows}
+        if len(rows) != n or widths != {n}:
+            got = (f"shape {(len(rows), *widths)}" if len(widths) < 2
+                   else f"rows of lengths {[len(row) for row in rows]}")
+            raise ConfigError(f"config invalid at {where}: expected a "
+                              f"{n}x{n} matrix, got {got}")
     return cfg
 
 
 def cocycle_from_config(cfg: dict) -> CocycleSpec:
     tuple_ = MatrixTuple.from_matrices(cfg["matrices"])
-    if tuple_.d != cfg["dimension"]:
-        raise ConfigError("matrix shape disagrees with declared dimension")
     if "weights" in cfg:
         return CocycleSpec.iid(tuple_, cfg["weights"])
     return CocycleSpec.markov(tuple_, cfg["transition"])
@@ -661,8 +648,8 @@ def cmd_grassmann(cfg, args):
     if max(gaps, default=1) > d - 1:  # the schema keeps every key >= 1
         raise ConfigError(f"grassmann.gaps key {max(gaps)} needs "
                           f"1 <= k <= d-1 = {d - 1}")
-    if cfg["gap"] is not None:  # level 1 is certify's gap unless gaps has 1
-        gaps.setdefault(1, float(cfg["gap"]))
+    if cfg["gap"] is not None and 1 not in gaps:  # certify's gap at level 1
+        gaps[1] = float(cfg["gap"])
     spectrum = None
     report = {"levels": {}}
     r_prev = None
@@ -745,6 +732,12 @@ COMMANDS = {
 }
 
 
+# Override flag -> the config keys of the setting it replaces; the value is
+# checked against that setting's schema.
+OVERRIDES = {"--theta": ("theta",), "--seed": ("mc", "seed"),
+             "--grid-m": ("grid", "m")}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The lyocert argument parser, built on the first call and then reused;
@@ -778,18 +771,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.theta is not None:
-            if not 0.0 < args.theta <= 1.0:
-                raise ConfigError("--theta must lie in (0, 1]")
-            cfg["theta"] = args.theta
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be >= 0")
-            cfg["mc"]["seed"] = args.seed
-        if args.grid_m is not None:
-            if args.grid_m < 8:
-                raise ConfigError("--grid-m must be >= 8")
-            cfg["grid"]["m"] = args.grid_m
+        for flag, (*blocks, key) in OVERRIDES.items():
+            value = getattr(args, flag[2:].replace("-", "_"))
+            if value is None:
+                continue
+            node, schema = cfg, CONFIG_SCHEMA
+            for block in blocks:
+                node, schema = node[block], schema["properties"][block]
+            bad = best_violation(schema["properties"][key], value)
+            if bad is not None:
+                raise ConfigError(f"{flag} {bad.message}")
+            node[key] = value
         code, report, csv_rows = COMMANDS[args.command](cfg, args)
     except (ConfigError, GapNotSimpleError, InvalidMatrixError,
             ValueError) as exc:

@@ -99,6 +99,16 @@ MALFORMED_CONFIGS = {
 }
 
 
+# (key,) of each top-level setting with a default, then (block, key) of each
+# key inside a block: the keys a config may leave out.
+OPTIONAL_KEYS = [
+    *((key,) for key, sub in cli.CONFIG_SCHEMA["properties"].items()
+      if "default" in sub),
+    *((block, key) for block, sub in cli.CONFIG_SCHEMA["properties"].items()
+      for key in sub.get("properties", {})),
+]
+
+
 class TestConfigLoading:
     @pytest.mark.parametrize("schema", [cli.CONFIG_SCHEMA, cli.Z_SCHEMA],
                              ids=["config", "z"])
@@ -122,22 +132,61 @@ class TestConfigLoading:
         assert str(got.value) == (f"config invalid at {want.value.json_path}"
                                   f": {want.value.message}")
 
-    @pytest.mark.parametrize("block", ["mc", "contour", "boundary", "flags"])
-    def test_defaults_cover_the_schema_block(self, block):
-        # A key on one side only would be a setting that cannot be set, or
-        # one that has no default.
-        defaults = {"mc": cli.MC_DEFAULTS, "contour": cli.CONTOUR_DEFAULTS,
-                    "boundary": cli.BOUNDARY_DEFAULTS,
-                    "flags": cli.FLAG_DEFAULTS}[block]
-        assert (defaults.keys()
-                == cli.CONFIG_SCHEMA["properties"][block]["properties"].keys())
+    def test_minimal_config_loads_every_default(self, tmp_path,
+                                                reference_cfg):
+        required = ("dimension", "matrices", "weights", "theta")
+        path = tmp_path / "minimal.json"
+        path.write_text(json.dumps({k: reference_cfg[k] for k in required}))
+        cfg = cli.load_config(str(path))
+        assert {k: v for k, v in cfg.items() if k not in required} == {
+            "gap": None,
+            "mc": {"steps": 20000, "trials": 12, "seed": 0, "burnin": 1000},
+            "grid": {"m": 2000},
+            "contour": {"radius": None, "nodes": 32, "order": 6,
+                        "direction": None},
+            "boundary": {"index": 0, "steps": 6, "tMax": None, "cTau": None,
+                         "gammaTau": None},
+            "grassmann": {"levels": [], "gaps": {}},
+            "flags": {"rigorousK": False, "chainExponent": 1.0, "rhoA": 0.0},
+        }
+        # each default is a new object: main writes flag values into cfg
+        cfg["mc"]["seed"] = 99
+        assert cli.load_config(str(path))["mc"]["seed"] == 0
+
+    def test_every_default_is_valid_under_its_own_schema(self):
+        def with_default(schema):
+            for sub in schema.get("properties", {}).values():
+                if "default" in sub:
+                    yield sub
+                yield from with_default(sub)
+
+        subs = list(with_default(cli.CONFIG_SCHEMA))
+        assert len(subs) == len(OPTIONAL_KEYS) == 26
+        for sub in subs:
+            jsonschema.validate(sub["default"], sub,
+                                cls=jsonschema.Draft202012Validator)
+
+    @pytest.mark.parametrize("omit", [()] + OPTIONAL_KEYS,
+                             ids=lambda keys: ".".join(keys) or "packaged")
+    def test_load_config_is_idempotent(self, omit, tmp_path, reference_cfg):
+        # a loaded config, saved, loads as itself
+        cfg = copy.deepcopy(reference_cfg)
+        if omit:
+            node = cfg if len(omit) == 1 else cfg[omit[0]]
+            del node[omit[-1]]
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        first.write_text(json.dumps(cfg))
+        loaded = cli.load_config(str(first))
+        second.write_text(json.dumps(loaded))
+        assert cli.load_config(str(second)) == loaded
 
     def test_default_is_packaged_reference(self, reference_cfg):
         assert reference_cfg["dimension"] == 2
         assert reference_cfg["theta"] == 0.5
         assert len(reference_cfg["matrices"]) == 2
         # the Monte Carlo estimators take cfg["mc"] as keyword arguments
-        assert reference_cfg["mc"].keys() == cli.MC_DEFAULTS.keys()
+        assert reference_cfg["mc"].keys() == (
+            cli.CONFIG_SCHEMA["properties"]["mc"]["properties"].keys())
 
     def test_missing_file_is_config_error(self):
         with pytest.raises(cli.ConfigError):
@@ -168,6 +217,23 @@ class TestConfigLoading:
         path.write_text(json.dumps(bad))
         with pytest.raises(cli.ConfigError):
             cli.load_config(str(path))
+
+    @pytest.mark.parametrize("command,key,rows,where", [
+        ("certify", ("matrices", 0), [[2, 0], [0.5]],
+         "$.matrices[0]: expected a 2x2 matrix, got rows of lengths [2, 1]"),
+        ("chain", ("transition",), [[1.0], [0.5, 0.5]],
+         "$.transition: expected a 2x2 matrix, got rows of lengths [1, 2]"),
+    ], ids=["matrix", "transition"])
+    def test_ragged_matrix_is_config_error(self, command, key, rows, where,
+                                           tmp_path, reference_cfg, capsys):
+        cfg = copy.deepcopy(reference_cfg)
+        if command == "chain":
+            del cfg["weights"]
+        _set(list(key), rows)(cfg)
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps(cfg))
+        assert run([command, "--config", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: config invalid at {where}\n"
 
     @pytest.mark.parametrize("command,path,token", [
         (["certify"], ["weights"], "NaN"),
@@ -373,17 +439,23 @@ class TestExitCodes:
     def test_missing_config_exits_1(self, capsys):
         assert run(["certify", "--config", "/no/such.json"]) == cli.EXIT_CONFIG
 
-    def test_bad_theta_override_exits_1(self, cfg_path):
+    def test_bad_theta_override_exits_1(self, cfg_path, capsys):
         assert run(["certify", "--config", cfg_path,
                     "--theta", "1.5"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: --theta 1.5 is greater than the maximum of 1\n")
 
-    def test_bad_seed_override_exits_1(self, cfg_path):
+    def test_bad_seed_override_exits_1(self, cfg_path, capsys):
         assert run(["estimate", "--config", cfg_path,
                     "--seed", "-1"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: --seed -1 is less than the minimum of 0\n")
 
-    def test_bad_grid_override_exits_1(self, cfg_path):
+    def test_bad_grid_override_exits_1(self, cfg_path, capsys):
         assert run(["extend", "--config", cfg_path,
                     "--grid-m", "4"]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: --grid-m 4 is less than the minimum of 8\n")
 
 
 def test_parser_is_built_once_and_namespaces_stay_apart(monkeypatch,
