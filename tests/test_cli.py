@@ -153,6 +153,21 @@ class TestConfigLoading:
         cfg["mc"]["seed"] = 99
         assert cli.load_config(str(path))["mc"]["seed"] == 0
 
+    @pytest.mark.parametrize("block", ["mc", "contour", "boundary", "flags"])
+    def test_defaults_cover_the_schema_block(self, block, tmp_path,
+                                             reference_cfg):
+        # A key with no default would be a setting that a config must give;
+        # a block with no default would have to be written out whole.
+        sub = cli.CONFIG_SCHEMA["properties"][block]
+        assert sub["default"] == {}
+        assert all("default" in s for s in sub["properties"].values())
+        raw = copy.deepcopy(reference_cfg)
+        del raw[block]
+        path = tmp_path / "no-block.json"
+        path.write_text(json.dumps(raw))
+        assert (cli.load_config(str(path))[block]
+                == {k: s["default"] for k, s in sub["properties"].items()})
+
     def test_every_default_is_valid_under_its_own_schema(self):
         def with_default(schema):
             for sub in schema.get("properties", {}).values():
