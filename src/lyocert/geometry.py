@@ -181,16 +181,30 @@ def sample_directions(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
 SINGULAR_RANGE = (0.2, 5.0)
 
 
+def _gram_schmidt(a: np.ndarray) -> np.ndarray:
+    """Q of a = QR with R's diagonal positive, for a stack (..., d, d) of
+    invertible matrices: Gram-Schmidt on the columns in order, each column
+    orthogonalized twice against the ones before it. This is the Q of
+    np.linalg.qr with the signs of R's diagonal moved into Q, to rounding of
+    order eps * cond(a). Works entry first: t[c, i] = a[..., i, c]."""
+    t = np.ascontiguousarray(np.moveaxis(a, (-1, -2), (0, 1)), dtype=float)
+    for c in range(len(t)):
+        for _ in range(2 if c else 0):
+            for j in range(c):
+                t[c] -= np.sum(t[j] * t[c], axis=0) * t[j]
+        t[c] /= np.sqrt(np.sum(t[c] * t[c], axis=0))
+    return np.ascontiguousarray(np.moveaxis(t, (0, 1), (-1, -2)))
+
+
 def matrix_law(uniforms: np.ndarray, normals: np.ndarray):
     """The law of sample_matrix, stacked on leading axes: uniforms (..., d)
     in [0, 1) give log singular values uniform over log SINGULAR_RANGE, and
-    normals (..., 2, d, d) the sign-fixed QR rotations R1, R2. Returns
-    g = R1 diag(s) R2 and its singular values, the drawn s in descending
-    order; no SVD is taken."""
+    normals (..., 2, d, d) the rotations R1, R2, their orthonormalized
+    columns (see _gram_schmidt). Returns g = R1 diag(s) R2 and its singular
+    values, the drawn s in descending order; no factorization is taken."""
     lo, hi = np.log(SINGULAR_RANGE)
     s = np.exp(lo + (hi - lo) * uniforms)
-    q, r = np.linalg.qr(normals)
-    rot = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    rot = _gram_schmidt(normals)
     g = (rot[..., 0, :, :] * s[..., None, :]) @ rot[..., 1, :, :]
     return g, np.sort(s, axis=-1)[..., ::-1]
 

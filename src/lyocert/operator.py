@@ -4,10 +4,13 @@ Real, complex-weight, twisted, and chain Markov operators on a uniform
 angular grid over the projective line, stored as CSR matrices. Each of them
 is a weighted sum of the same N hat-weight blocks T_i, one per matrix, so a
 TransferBasis holds the blocks and the log stretch phi of one (tuple, grid)
-and every operator on it fills one data array over a fixed CSR pattern. One
-left eigensolve per operator gives the isolated leading eigenvalue mu and
-its left functional eta (mass 1), from which the holomorphic extension, the
-chain value and the contour Taylor coefficients are read; the Neumann
+and every operator on it fills one data array over a fixed CSR pattern;
+real weights give a real operator, solved in real arithmetic. One left
+eigensolve per operator gives the isolated leading eigenvalue mu and its
+left functional eta (mass 1), from which the holomorphic extension, the
+chain value and the contour Taylor coefficients are read. The blocks are
+real, so the extension at conj(z) is the conjugate of that at z and the
+contour quadrature solves one node of each conjugate pair. The Neumann
 contraction criterion completes the module. SciPy is imported inside the
 functions that use it, so commands that build no operator never load it.
 """
@@ -135,7 +138,9 @@ def assemble_operator(basis: TransferBasis, z,
 
     Row j carries sum_i z_i e^{twist * phi(A_i, v_j)} times the hat weights
     of the image angle of A_i v_j, the blocks added in order i = 0..N-1.
-    For real simplex z and twist 0 the result is row-stochastic.
+    For real simplex z and twist 0 the result is row-stochastic. Real z
+    and twist give float64 data, so the eigensolve runs in real arithmetic;
+    the entries are those of the complex fill, bit for bit.
     """
     import scipy.sparse
     N = basis.tuple.N
@@ -144,8 +149,10 @@ def assemble_operator(basis: TransferBasis, z,
         raise ValueError(f"need {N} weights, got shape {z.shape}")
     if abs(z.sum() - 1.0) > 1e-12:
         raise ValueError(f"weights must sum to 1, got {z.sum()}")
+    if not np.any(z.imag):
+        z = z.real
     scale = z[:, None] * np.exp(twist * basis.phi)
-    data = np.zeros(len(basis.indices), dtype=complex)
+    data = np.zeros(len(basis.indices), dtype=scale.dtype)
     np.add.at(data, basis._slot, scale.ravel()[basis._gather]
               * basis._weights)
     m = basis.grid.m
@@ -155,9 +162,14 @@ def assemble_operator(basis: TransferBasis, z,
 
 def assemble_chain_operator(P,
                             basis: TransferBasis) -> scipy.sparse.csr_matrix:
-    """Block operator of the chain-driven cocycle: block (i,j) = P_ij T_{A_j}."""
+    """Block operator of the chain-driven cocycle: block (i,j) = P_ij T_{A_j}.
+
+    Real P gives a float64 operator.
+    """
     import scipy.sparse
     P = np.asarray(P, dtype=complex)
+    if not np.any(P.imag):
+        P = P.real
     N = basis.tuple.N
     if P.shape != (N, N):
         raise ValueError(f"transition matrix must be {N}x{N}")
@@ -238,13 +250,10 @@ def spectral_gap_measured(M) -> tuple[float, float]:
 def analytic_extension_value(basis: TransferBasis, z) -> complex:
     """lambda~_+(z) = sum_i z_i eta_z(phi(A_i, .)) on the grid.
 
-    At real weights eta is the stationary measure, so its rounding-level
-    imaginary part is dropped.
+    At real weights the operator is real, so eta, the stationary measure,
+    is real and so is the value.
     """
     _, eta = leading_eigenpair(assemble_operator(basis, z))
-    z = np.asarray(z, dtype=complex)
-    if np.all(z.imag == 0.0):
-        eta = eta.real + 0j
     return complex(np.dot(z, basis.phi @ eta))
 
 
@@ -281,6 +290,11 @@ def taylor_coefficients(basis: TransferBasis, p0, direction, order: int,
 
     Trapezoid quadrature of the Cauchy integral with `nodes` equally spaced
     contour points; requires nodes >= 4 * order and a zero-sum direction.
+    p0, u and the blocks are real, so the value at the node conj(t) is the
+    conjugate of the value at t, and so is a collision. Only the nodes
+    k = 0..nodes // 2 are solved, and the sum pairs node k with node
+    nodes - k: c_j = [v_0 + (-1)^j v_(n/2) (even n) + 2 sum_(0<k<n/2)
+    Re(v_k e^(-i j theta_k))] / (n r^j), which is real.
     """
     p0 = np.asarray(p0, dtype=float)
     u = np.asarray(direction, dtype=float)
@@ -292,22 +306,25 @@ def taylor_coefficients(basis: TransferBasis, p0, direction, order: int,
         raise ValueError(f"need >= {4 * order} contour nodes for order {order}")
     if contour_radius <= 0.0:
         raise ValueError("contour radius must be positive")
-    thetas = 2.0 * math.pi * np.arange(nodes) / nodes
-
-    def _eval(theta):
-        z = p0 + contour_radius * np.exp(1j * theta) * u
-        return analytic_extension_value(basis, z)
-
+    thetas = 2.0 * math.pi * np.arange(nodes // 2 + 1) / nodes
+    points = np.exp(1j * thetas)
+    weights = np.full(len(thetas), 2.0)
+    # the nodes on the real axis are their own conjugates, and are set
+    # exactly real so that their solves are real
+    points[0], weights[0] = 1.0, 1.0
+    if nodes % 2 == 0:
+        points[-1], weights[-1] = -1.0, 1.0
     try:
-        values = np.array([_eval(t) for t in thetas], dtype=complex)
+        values = np.array([analytic_extension_value(
+            basis, p0 + contour_radius * w * u) for w in points])
     except EigenvalueCollisionError as exc:
         raise ContourTooLargeError(
             f"leading eigenvalue collided on the contour of radius "
             f"{contour_radius}: {exc}") from exc
 
     js = np.arange(order + 1)
-    kernel = np.exp(-1j * np.outer(js, thetas))
-    return (kernel @ values) / nodes / contour_radius ** js
+    terms = (values * np.exp(-1j * np.outer(js, thetas))).real
+    return (terms @ weights / nodes / contour_radius ** js).astype(complex)
 
 
 def estimate_sharp_radius(coefficients) -> dict:

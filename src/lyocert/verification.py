@@ -299,16 +299,85 @@ def partial_sum_consistency(tuple_: MatrixTuple, p, k: int,
 LEMMA_BLOCK = 1000
 
 
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u x v for vectors stored entry first, u[i] of shape (...)."""
+    return np.stack([u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                     u[0] * v[1] - u[1] * v[0]])
+
+
+def _entries(a: np.ndarray) -> np.ndarray:
+    """A stack (..., 3, 3) stored entry first: out[i, j] = a[..., i, j]."""
+    return np.ascontiguousarray(np.moveaxis(a, (-2, -1), (0, 1)))
+
+
+def _gram(m: np.ndarray) -> np.ndarray:
+    """m^T m for 3 x 3 matrices stored entry first, m[i, j] of shape (...)."""
+    return np.sum(m[:, :, None] * m[:, None, :], axis=0)
+
+
+def _top_eigenvalue(s: np.ndarray) -> np.ndarray:
+    """Top eigenvalue of symmetric 3 x 3 matrices stored entry first.
+
+    Closed form (Smith 1961): q + 2 p cos(phi), phi = acos(r) / 3, for
+    b = s - q I, q the mean eigenvalue, 6 p^2 = ||b||_F^2, r = det b / 2p^3.
+    Where r < 0 the top two may nearly meet and acos loses digits there,
+    but the bottom one, q + 2 p cos(phi + 2 pi / 3), is >= sqrt(3) p below
+    them and accurate. Then with x >= y the top eigenvalues of
+    R = s - bottom I, h = (x + y) / 2 and P = I - adj R / tr adj R the
+    projector onto their plane, (x - y)^2 = 2 ||R - h P||_F^2: a sum of
+    squares with no cancellation, and the top eigenvalue is bottom + x.
+    """
+    q = (s[0, 0] + s[1, 1] + s[2, 2]) / 3.0
+    a, b, c = s[0, 0] - q, s[1, 1] - q, s[2, 2] - q
+    d, e, f = s[0, 1], s[0, 2], s[1, 2]
+    p = np.sqrt((a * a + b * b + c * c + 2.0 * (d * d + e * e + f * f)) / 6.0)
+    det = a * (b * c - f * f) - d * (d * c - f * e) + e * (d * f - b * e)
+    r = np.divide(det, 2.0 * p ** 3, out=np.zeros_like(p), where=p > 0)
+    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+    bottom = 2.0 * p * np.cos(phi + 2.0 * math.pi / 3.0)
+    a, b, c = a - bottom, b - bottom, c - bottom
+    h = (a + b + c) / 2.0
+    adj = [b * c - f * f, a * c - e * e, a * b - d * d,
+           e * f - d * c, d * f - e * b, d * e - a * f]
+    trace_adj = adj[0] + adj[1] + adj[2]
+    w = np.divide(h, trace_adj, out=np.zeros_like(h), where=trace_adj != 0)
+    diag = [x - h + w * k for x, k in zip((a, b, c), adj[:3])]
+    off = [x + w * k for x, k in zip((d, e, f), adj[3:])]
+    half_gap = np.sqrt((sum(x * x for x in diag)
+                        + 2.0 * sum(x * x for x in off)) / 2.0)
+    return q + np.where(r < 0, bottom + h + half_gap, 2.0 * p * np.cos(phi))
+
+
+def _top_singular_value(a: np.ndarray) -> np.ndarray:
+    """sigma_max of each matrix of a stack (..., 3, 3): the square root of
+    the top eigenvalue of a^T a."""
+    return np.sqrt(_top_eigenvalue(_gram(_entries(a))))
+
+
+def _bottom_singular_value(a: np.ndarray) -> np.ndarray:
+    """sigma_min of each matrix of a stack (..., 3, 3) as |det a| / ||adj a||:
+    the adjugate has singular values sigma_i sigma_j, so its norm is
+    sigma_1 sigma_2. The rows of adj(a)^T are cross products of the rows of
+    a. The bottom eigenvalue of a^T a would lose relative accuracy as
+    (sigma_max / sigma_min)^2."""
+    r0, r1, r2 = _entries(a)
+    cof = np.stack([_cross(r1, r2), _cross(r2, r0), _cross(r0, r1)])
+    det = np.sum(r0 * cof[0], axis=0)
+    return np.abs(det) / np.sqrt(_top_eigenvalue(_gram(cof)))
+
+
 def _lemma_block(rng: np.random.Generator, n: int, d: int, k: int):
     """Draws of n lemma samples, two generator calls per block.
 
     rng.random((n, d + 1)): d uniforms for the singular values of g (see
-    geometry.matrix_law), then the perturbation scale. rng.standard_normal((n, 3d^2 + 2d + 2dk)), by
-    columns: the two rotations of g (2d^2), the two directions (2d), the
-    perturbation (d^2) and the two (d, k) bases (2dk).
+    geometry.matrix_law), then the perturbation scale.
+    rng.standard_normal((n, 3d^2 + 2d + 2dk)), by columns: the two
+    rotations of g (2d^2), the two directions (2d), the perturbation (d^2)
+    and the two (d, k) bases (2dk).
     Returns g, its singular values (n, d) in descending order, the unit
     directions (n, 2, d), the perturbation scaled to spectral norm
-    0.1 * scale, that norm, and the bases (n, 2, d, k).
+    0.1 * scale, that norm, and the bases (n, 2, d, k). d = 3: the
+    perturbation's norm is taken in closed form.
     """
     uniforms = rng.random((n, d + 1))
     normals = rng.standard_normal((n, 3 * d * d + 2 * d + 2 * d * k))
@@ -319,7 +388,7 @@ def _lemma_block(rng: np.random.Generator, n: int, d: int, k: int):
     uv /= np.linalg.norm(uv, axis=-1, keepdims=True)
     delta = delta.reshape(n, d, d)
     delta_norm = 0.1 * uniforms[:, d]
-    factor = delta_norm / np.linalg.norm(delta, 2, axis=(-2, -1))
+    factor = delta_norm / _top_singular_value(delta)
     delta *= factor[:, None, None]
     return g, sv, uv, delta, delta_norm, bases.reshape(n, 2, d, k)
 
@@ -349,8 +418,7 @@ def _lemma_tallies(samples: int, seed: int, d: int, k: int):
               ecc ** 2 * d_uv)
         # matrix Lipschitz of the log stretch
         g2 = g + delta
-        sv2 = np.linalg.svd(g2, compute_uv=False)
-        inv_max = np.maximum(inv, 1.0 / sv2[:, -1])
+        inv_max = np.maximum(inv, 1.0 / _bottom_singular_value(g2))
         phi = np.log(np.linalg.norm(guv, axis=-1))
         phi2 = np.log(np.linalg.norm((g2 @ u[..., None])[..., 0], axis=-1))
         tally("logform_lip_g", np.abs(phi[:, 0] - phi2), inv_max * delta_norm)
@@ -365,8 +433,8 @@ def _lemma_tallies(samples: int, seed: int, d: int, k: int):
               ecc ** k * wedge_distance(w[:, 0], w[:, 1]))
         g2w = unit_wedge(g2 @ bases[:, 0])
         tally("grassmann_perturb", wedge_distance(gw[:, 0], g2w),
-              k * np.maximum(nrm, sv2[:, 0]) ** (k - 1) * inv_max ** k
-              * delta_norm)
+              k * np.maximum(nrm, _top_singular_value(g2)) ** (k - 1)
+              * inv_max ** k * delta_norm)
         done += n
     return worst, violations
 
@@ -393,11 +461,15 @@ def lemma_sampling_suite(samples: int = 100_000, seed: int = 0,
     two generator calls per block (see _lemma_block). The stream is laid
     out per block, so changing LEMMA_BLOCK changes the samples. g' = g +
     Delta with ||Delta|| <= 0.1 stays invertible: sigma_min(g) >= 0.2 under
-    geometry.matrix_law, which g follows.
+    geometry.matrix_law, which g follows. Only d = 3 (planes, k = 2) is
+    implemented: the singular values of g' and the norm of Delta are taken
+    in closed form for 3 x 3 matrices.
     """
+    if d != 3:
+        raise ValueError(f"lemma sampling is implemented for d = 3 only, "
+                         f"got d = {d}")
     report = VerificationReport()
-    k = 2 if d >= 3 else 1
-    worst, violations = _lemma_tallies(samples, seed, d, k)
+    worst, violations = _lemma_tallies(samples, seed, d, 2)
     for name in worst:
         _check(report, f"lemma.{name}", violations[name] == 0,
                violations[name], 0,

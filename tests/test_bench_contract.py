@@ -76,8 +76,9 @@ def test_tracer_sees_the_solver_when_lyocert_loads_scipy_late(tmp_path):
 
 
 def test_traced_taylor_call_builds_the_log_stretch_table_once(monkeypatch):
-    # operator.assemble_s sums the assemble_operator spans, one per contour
-    # node; the (tuple, grid) work is done once, when the basis is built.
+    # operator.assemble_s sums the assemble_operator spans, one per solved
+    # contour node (8 // 2 + 1 of 8: the others are conjugates); the
+    # (tuple, grid) work is done once, when the basis is built.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import layers
     import tracing
@@ -92,9 +93,9 @@ def test_traced_taylor_call_builds_the_log_stretch_table_once(monkeypatch):
         tracer.uninstall()
     counts = Counter(s.name for s in tracer.spans)
     assert counts["operator.log_stretch_table"] == 1
-    assert counts["operator.assemble_operator"] == 8
-    assert counts["operator.leading_eigenpair"] == 8
-    assert counts["scipy.eigs"] == 8
+    assert counts["operator.assemble_operator"] == 5
+    assert counts["operator.leading_eigenpair"] == 5
+    assert counts["scipy.eigs"] == 5
 
 
 def test_traced_estimators_record_their_sample_counts(monkeypatch):

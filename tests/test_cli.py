@@ -13,6 +13,7 @@ import pytest
 
 import lyocert.cli as cli
 import lyocert.geometry as geo
+import lyocert.operator as op
 import lyocert.oracles as orc
 
 # Source root of the lyocert under test, for fresh interpreters.
@@ -848,6 +849,21 @@ class TestOtherCommands:
         code, report = run_json(["verify", "--fast"], tmp_path)
         assert code == cli.EXIT_OK
         assert report["passed"] is True
+
+    @pytest.mark.parametrize("argv, solves", [
+        # cauchy_dominance solves 9 of its 16 contour nodes, the iid/chain
+        # reduction 2: 11 in all, 18 when every node was solved
+        (["verify", "--fast"], 11),
+        (["scan-boundary"], 6),
+    ], ids=["verify-fast", "scan-boundary"])
+    def test_packaged_solve_budget(self, argv, solves, tmp_path, monkeypatch):
+        calls = []
+        top = op._top_eigenvalues
+        monkeypatch.setattr(op, "_top_eigenvalues",
+                            lambda M: calls.append(1) or top(M))
+        code, _ = run_json(argv, tmp_path)
+        assert code == cli.EXIT_OK
+        assert len(calls) == solves
 
     def test_verify_fast_on_d3_skips_the_operator_checks(
             self, tmp_path, reference_cfg):

@@ -282,6 +282,31 @@ class TestEigenExtraction:
         dense = values()
         assert np.max(np.abs(np.subtract(sparse, dense))) <= 1e-12
 
+    @pytest.mark.parametrize("m", [200, 201, 600, 601])
+    @pytest.mark.parametrize("p", [(0.5, 0.5), (0.35, 0.65)])
+    def test_real_arithmetic_matches_complex(self, p, m, monkeypatch):
+        # Real weights give a float64 operator, solved by ARPACK's real
+        # routines; the same matrix cast to complex goes through its complex
+        # ones. mu, eta (mass 1), rho2 and the chain value agree.
+        basis = op.TransferBasis(REFERENCE, op.build_grid(m))
+        M = op.assemble_operator(basis, p)
+        assert M.dtype == np.float64
+        Mc = M.astype(complex)
+        mu, eta = op.leading_eigenpair(M)
+        mu_c, eta_c = op.leading_eigenpair(Mc)
+        assert abs(mu - mu_c) <= 1e-12
+        assert np.max(np.abs(eta - eta_c)) <= 1e-12
+        rho2 = op.spectral_gap_measured(M)[0]
+        assert abs(rho2 - op.spectral_gap_measured(Mc)[0]) <= 1e-12
+
+        P = [[0.7, 0.3], [0.4, 0.6]]
+        real_value = op.chain_extension_value(P, basis)
+        chain = op.assemble_chain_operator
+        assert chain(P, basis).dtype == np.float64
+        monkeypatch.setattr(op, "assemble_chain_operator",
+                            lambda P, basis: chain(P, basis).astype(complex))
+        assert abs(real_value - op.chain_extension_value(P, basis)) <= 1e-12
+
     def test_arpack_no_convergence_falls_back_to_dense(self, monkeypatch):
         M = op.assemble_operator(
             op.TransferBasis(REFERENCE, op.build_grid(60)), P0)
@@ -408,6 +433,35 @@ class TestTaylorCoefficients:
         c = op.taylor_coefficients(BASIS, P0, u, order=2,
                                    contour_radius=1e-4, nodes=8)
         assert c[1].real == pytest.approx(fd, abs=1e-5 + 1e-3 * abs(fd))
+
+    @pytest.mark.parametrize("nodes", [8, 9, 16])
+    @pytest.mark.parametrize("radius", [1e-3, 0.05])
+    def test_real_inputs_give_real_coefficients(self, radius, nodes):
+        # Against the all-node sum over `nodes` direct solves. Both sums
+        # round each of their n terms of size <= max|v|, so they agree to
+        # n eps max|v| r^-j; measured worst 1.75 eps max|v| r^-j.
+        order = nodes // 4
+        u = np.array([1.0, -1.0])
+        c = op.taylor_coefficients(BASIS, P0, u, order, radius, nodes)
+        thetas = 2.0 * math.pi * np.arange(nodes) / nodes
+        v = np.array([op.analytic_extension_value(
+            BASIS, np.array(P0) + radius * np.exp(1j * t) * u)
+            for t in thetas])
+        js = np.arange(order + 1)
+        want = (np.exp(-1j * np.outer(js, thetas)) @ v) / nodes / radius ** js
+        assert np.all(c.imag == 0.0)
+        bound = nodes * np.finfo(float).eps * np.abs(v).max() / radius ** js
+        assert np.all(np.abs(c.real - want.real) <= bound)
+
+    @pytest.mark.parametrize("nodes", [8, 9, 16])
+    def test_one_solve_per_conjugate_pair_of_nodes(self, nodes, monkeypatch):
+        calls = []
+        top = op._top_eigenvalues
+        monkeypatch.setattr(op, "_top_eigenvalues",
+                            lambda M: calls.append(1) or top(M))
+        op.taylor_coefficients(BASIS, P0, [1.0, -1.0], order=2,
+                               contour_radius=1e-4, nodes=nodes)
+        assert len(calls) == nodes // 2 + 1
 
     def test_rejects_non_zero_sum_direction(self):
         with pytest.raises(ValueError):
