@@ -45,21 +45,23 @@ class LogValue:
     def value(self) -> float:
         return math.exp(self.log) if self.log < 690.0 else math.inf
 
-    @property
-    def is_astronomical(self) -> bool:
-        return self.log >= 690.0
-
     def to_dict(self) -> dict:
         return {"value": self.value, "logValue": self.log}
 
 
 def simplicity_threshold(theta: float, gap: float) -> int:
-    """Iterates n0 = ceil(2 log 2 / (theta * gap)) needed for contraction."""
+    """Iterates n0 = ceil(2 log 2 / (theta * gap)) needed for contraction:
+    the least n with n theta gap >= the double above 2 * LOG2, an upper
+    bound of 2 log 2, in exact rational arithmetic on the input doubles. A
+    float quotient can round down onto an integer and give n0 one too
+    small."""
     if gap <= 0.0:
         raise GapNotSimpleError(f"Lyapunov gap must be > 0, got {gap}")
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must lie in (0, 1]")
-    return int(math.ceil(2.0 * LOG2 / (theta * gap)))
+    from fractions import Fraction  # imports decimal: kept off start-up
+    return math.ceil(Fraction(math.nextafter(2.0 * LOG2, math.inf))
+                     / (Fraction(theta) * Fraction(gap)))
 
 
 def oscillation_rate(n0: int, theta: float, gap: float, ecc: float) -> dict:

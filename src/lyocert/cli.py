@@ -421,76 +421,63 @@ def _write_out(text: str, out_path: str | None) -> None:
 # ---------------------------------------------------------------------------
 # Report builders.
 
-# Formula-tagged leaves: report key -> (source attribute, formula id). A
-# "ladder." attribute is read from CertificateReport.ladder, any other from
-# the CertificateReport itself, and a mapping value (joint, chain, boundary)
-# gives one leaf per entry; None is skipped. Rows without an attribute tag
-# leaves that other reports build.
-REPORT_LEAVES = {
-    "n0": ("ladder.n0", "simplicity-threshold-ceil"),
-    "tau0": ("ladder.tau0", "oscillation-rate"),
-    "C2": ("ladder.C2", "holder-growth-constant"),
-    "NTheta": ("ladder.N_theta", "holder-iteration-count"),
-    "tauStar": ("ladder.tau_star", "composite-gap"),
-    "rhoStar": ("ladder.rho_star", "isolating-radius"),
-    "RNormBound": ("ladder.R_norm_bound", "iterated-operator-norm"),
-    "KStar": ("K_star", "resolvent-bound-explicit"),
-    "KStarSp": ("K_star_sp", "resolvent-bound-spectral-radius"),
-    "rStar": ("r_star", "kato-polydisc-radius"),
-    "rExtension": ("r_extension", "extension-radius-half"),
-    "MStar": ("M_star", "sup-bound"),
-    # both Cauchy orders come from one formula
-    **{key: (attr, "cauchy-coefficient-bound")
-       for key, attr in (("cauchyFirst", "cauchy_first"),
-                         ("cauchySecond", "cauchy_second"))},
-    "joint": ("joint", "joint-polydisc-radii"),
-    "chain": ("chain", "chain-polydisc-radii"),
-    "boundary": ("boundary", "boundary-decay-constants"),
-    "levels": (None, "grassmann-level-k-certificate"),
-    "chainTopExponent": (None, "chain-qr-cocycle-mean"),
-}
-
-
 def certificate_to_report(rep: cert.CertificateReport) -> dict:
-    """CertificateReport -> JSON structure with formula-tagged leaves."""
+    """CertificateReport -> JSON structure with formula-tagged leaves. A
+    mapping of radii or constants gives one leaf per entry; an absent chain
+    or boundary block is left out."""
     lad = rep.ladder
     inputs = {"theta": lad.theta, "gap": lad.gap, "ecc": lad.ecc}
-    own_inputs = {
-        "tau0": {**inputs, "optimistic": lad.tau0_optimistic,
-                 "pessimistic": lad.tau0},
-        "cauchyFirst": {"order": 1, "convention": "example"},
-        "cauchySecond": {"order": 2, "convention": "example"},
+
+    def leaves(values: dict, formula_id: str) -> dict:
+        return {k: leaf(v, formula_id, inputs) for k, v in values.items()}
+
+    out = {
+        "ladder": {
+            "n0": leaf(lad.n0, "simplicity-threshold-ceil", inputs),
+            "tau0": leaf(lad.tau0, "oscillation-rate",
+                         {**inputs, "optimistic": lad.tau0_optimistic,
+                          "pessimistic": lad.tau0}),
+            "C2": leaf(lad.C2, "holder-growth-constant", inputs),
+            "NTheta": leaf(lad.N_theta, "holder-iteration-count", inputs),
+            "tauStar": leaf(lad.tau_star, "composite-gap", inputs),
+            "rhoStar": leaf(lad.rho_star, "isolating-radius", inputs),
+            "RNormBound": leaf(lad.R_norm_bound, "iterated-operator-norm",
+                               inputs),
+        },
+        "rigorous": rep.rigorous,
+        "inputProvenance": rep.input_provenance,
+        "KStar": leaf(rep.K_star, "resolvent-bound-explicit", inputs),
+        "KStarSp": leaf(rep.K_star_sp, "resolvent-bound-spectral-radius",
+                        inputs),
+        "rStar": leaf(rep.r_star, "kato-polydisc-radius", inputs),
+        "rExtension": leaf(rep.r_extension, "extension-radius-half", inputs),
+        "MStar": leaf(rep.M_star, "sup-bound", inputs),
+        # both Cauchy orders come from one formula
+        "cauchyFirst": leaf(rep.cauchy_first, "cauchy-coefficient-bound",
+                            {"order": 1, "convention": "example"}),
+        "cauchySecond": leaf(rep.cauchy_second, "cauchy-coefficient-bound",
+                             {"order": 2, "convention": "example"}),
+        "joint": leaves(rep.joint, "joint-polydisc-radii"),
     }
-    out = {"ladder": {}, "rigorous": rep.rigorous,
-           "inputProvenance": rep.input_provenance}
-    for key, (attr, formula_id) in REPORT_LEAVES.items():
-        if attr is None:
-            continue
-        block, _, attr = attr.rpartition(".")
-        value = getattr(lad if block else rep, attr)
-        node_inputs = own_inputs.get(key, inputs)
-        if isinstance(value, dict):
-            out[key] = {k: leaf(v, formula_id, node_inputs)
-                        for k, v in value.items()}
-        elif value is not None:
-            (out["ladder"] if block else out)[key] = leaf(value, formula_id,
-                                                          node_inputs)
+    if rep.chain is not None:
+        out["chain"] = leaves(rep.chain, "chain-polydisc-radii")
+    if rep.boundary is not None:
+        out["boundary"] = leaves(rep.boundary, "boundary-decay-constants")
     return out
 
 
-def build_certificate(cfg: dict, spec: CocycleSpec,
-                      theta: float) -> tuple[cert.CertificateReport, dict]:
+def build_certificate(cfg: dict, spec: CocycleSpec) -> cert.CertificateReport:
+    """The certificate of a config's cocycle at its theta and gap."""
     gap, gap_prov = resolve_gap(cfg, spec)
     flags = cfg["flags"]
     chain_gap = spec.chain_gap if spec.kind == "markov" else None
-    rep = cert.certify(
+    return cert.certify(
         spec.tuple, spec.weights if spec.kind == "iid"
         else np.full(spec.tuple.N, 1.0 / spec.tuple.N),
-        theta, gap, rigorous=flags["rigorousK"], rho_A=flags["rhoA"],
+        cfg["theta"], gap, rigorous=flags["rigorousK"], rho_A=flags["rhoA"],
         chain_gap=chain_gap, c_exponent=flags["chainExponent"],
         c_tau=cfg["boundary"]["cTau"], gamma_tau=cfg["boundary"]["gammaTau"],
         provenance={"gap": gap_prov})
-    return rep, gap_prov
 
 
 # ---------------------------------------------------------------------------
@@ -513,14 +500,14 @@ def cmd_estimate(cfg, args):
     else:
         lam, se = estimate_markov_exponent(spec, **mc)
         report["topExponent"] = leaf(
-            lam, REPORT_LEAVES["chainTopExponent"][1], {"stderr": se, **mc})
+            lam, "chain-qr-cocycle-mean", {"stderr": se, **mc})
         report["chainGap"] = leaf(spec.chain_gap, "transition-spectral-gap")
     return EXIT_OK, report, None
 
 
 def cmd_certify(cfg, args):
     spec = cocycle_from_config(cfg)
-    rep, _ = build_certificate(cfg, spec, cfg["theta"])
+    rep = build_certificate(cfg, spec)
     return EXIT_OK, certificate_to_report(rep), None
 
 
@@ -559,7 +546,7 @@ def moving_weights_spec(cfg: dict, command: str) -> CocycleSpec:
 
 def cmd_taylor(cfg, args):
     spec = moving_weights_spec(cfg, "taylor")
-    rep, _ = build_certificate(cfg, spec, cfg["theta"])
+    rep = build_certificate(cfg, spec)
     ct = cfg["contour"]
     N = spec.tuple.N
     direction = ct["direction"]
@@ -588,7 +575,7 @@ def cmd_taylor(cfg, args):
         "sharpRadius": leaf(sharp["radius"], "cauchy-hadamard-tail",
                             {"indeterminate": sharp["indeterminate"],
                              "caveat": "finite-order surrogate"}),
-        "certificateRadius": leaf(rep.r_star, REPORT_LEAVES["rStar"][1]),
+        "certificateRadius": leaf(rep.r_star, "kato-polydisc-radius"),
     }
     return EXIT_OK, report, None
 
@@ -621,11 +608,11 @@ def cmd_chain(cfg, args):
     spec = cocycle_from_config(cfg)
     if spec.kind != "markov":
         raise ConfigError("chain requires a transition matrix in the config")
-    rep, _ = build_certificate(cfg, spec, cfg["theta"])
+    rep = build_certificate(cfg, spec)
     report = certificate_to_report(rep)
     lam, se = estimate_markov_exponent(spec, **cfg["mc"])
     report["chainTopExponent"] = leaf(
-        lam, REPORT_LEAVES["chainTopExponent"][1], {"stderr": se})
+        lam, "chain-qr-cocycle-mean", {"stderr": se})
     if spec.tuple.d == 2:
         grid = top.build_grid(min(cfg["grid"]["m"], 600))
         val = top.chain_extension_value(spec.transition,
@@ -666,7 +653,7 @@ def cmd_grassmann(cfg, args):
         r_prev = rec["r_H"]
         if k in levels:
             report["levels"][str(k)] = {
-                kk: leaf(vv, REPORT_LEAVES["levels"][1], {"k": k})
+                kk: leaf(vv, "grassmann-level-k-certificate", {"k": k})
                 for kk, vv in rec.items()}
     return EXIT_OK, report, None
 

@@ -1,9 +1,10 @@
 """Matrices, projective and Grassmannian geometry, exterior powers.
 
 Everything here is pure: MatrixTuple is frozen after construction and the
-operations allocate fresh arrays. Points of projective space and of
-Gr(k, d) are stacks of vectors and of unit wedges, measured by
-fs_distance_vec and wedge_distance.
+operations allocate fresh arrays. Points of projective space are stacks of
+vectors, measured by fs_distance_vec; planes in R^3, the one Grassmannian
+the lemma suite samples, are stacks of unit wedges (their three 2 x 2
+minors), measured by wedge_distance.
 """
 
 from __future__ import annotations
@@ -68,16 +69,6 @@ class MatrixTuple:
         """Tuple-level eccentricity max_i ||A_i|| * ||A_i^-1||."""
         return float(self.eccentricities.max())
 
-    def scaled(self, c: float) -> "MatrixTuple":
-        return MatrixTuple.from_matrices([c * m for m in self.matrices])
-
-
-def _canonical_sign(v: np.ndarray) -> np.ndarray:
-    """Flip each vector of a stack (..., n) so its first nonzero entry is > 0."""
-    nz = np.abs(v) > 1e-14
-    lead = np.take_along_axis(v, np.argmax(nz, axis=-1)[..., None], axis=-1)
-    return np.where((lead < 0) & nz.any(axis=-1, keepdims=True), -v, v)
-
 
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """np.dot over the last axis of two stacks (..., d), pair by pair."""
@@ -114,56 +105,34 @@ def exterior_power(g, k: int) -> np.ndarray:
     return np.linalg.det(g[..., sub[:, None, :, None], sub[None, :, None, :]])
 
 
-def _laplace_terms(d: int, c: int):
-    """Terms of the Laplace expansion of every (c + 1)-minor of a d-row
-    matrix along its last column: for each lex subset I of size c + 1 and
-    each position r, the row I_r, the lex index of the c-subset I minus
-    I_r, and the cofactor sign (-1)^(r + c). Arrays of shape (c + 1, C)."""
-    index = {s: i for i, s in enumerate(_lex_subsets(d, c))}
-    subsets = _lex_subsets(d, c + 1)
-    rows = np.array([[s[r] for s in subsets] for r in range(c + 1)])
-    minors = np.array([[index[s[:r] + s[r + 1:]] for s in subsets]
-                       for r in range(c + 1)])
-    signs = np.array([(-1.0) ** (r + c) for r in range(c + 1)])[:, None]
-    return rows, minors, signs
-
-
-def wedge_vector(basis: np.ndarray) -> np.ndarray:
-    """k-fold wedge of the columns of d x k matrices (..., d, k), lex basis.
-
-    Built one column at a time by Laplace expansion along the new column:
-    the wedge of columns 0..c is sum_r (-1)^(r + c) b[I_r, c] times the
-    wedge of columns 0..c-1 at I minus I_r. For k = 2 the entry at (i, j)
-    is b[i, 0] b[j, 1] - b[j, 0] b[i, 1].
-    """
-    d, k = basis.shape[-2:]
-    w = basis[..., 0].copy()
-    for c in range(1, k):
-        rows, minors, signs = _laplace_terms(d, c)
-        terms = signs * basis[..., rows, c] * w[..., minors]
-        w = terms.sum(axis=-2)
-    return w
-
-
 def unit_wedge(basis) -> np.ndarray:
-    """Canonical unit wedge of the column span of a d x k matrix or a stack
-    (..., d, k); ValueError on dependent columns.
+    """Unit wedge of the plane spanned by the columns a, b of a 3 x 2 matrix
+    or a stack (..., 3, 2): the lex-ordered 2 x 2 minors
+    (a0 b1 - a1 b0, a0 b2 - a2 b0, a1 b2 - a2 b1) over their norm.
+    ValueError on any other shape and on dependent columns.
 
-    The wedge norm is the k-volume of the columns, at most the product of
-    their lengths (Hadamard); columns are dependent when it is not above
-    1e-12 of that product, which takes in a zero column.
+    The wedge norm is the area spanned by the columns, at most the product
+    of their lengths (Hadamard); columns are dependent when it is not above
+    1e-12 of that product, which takes in a zero column. No sign is fixed:
+    wedge_distance identifies w with -w.
     """
-    w = wedge_vector(basis)
+    basis = np.asarray(basis, dtype=float)
+    if basis.shape[-2:] != (3, 2):
+        raise ValueError(f"expected planes in R^3 as (..., 3, 2), "
+                         f"got shape {basis.shape}")
+    (a0, b0), (a1, b1), (a2, b2) = np.moveaxis(basis, (-2, -1), (0, 1))
+    w = np.stack([a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a1 * b2 - a2 * b1],
+                 axis=-1)
     norm = np.linalg.norm(w, axis=-1, keepdims=True)
     lengths = np.prod(np.linalg.norm(basis, axis=-2), axis=-1)
     if not np.all(norm[..., 0] > 1e-12 * lengths):
         raise ValueError("basis vectors are linearly dependent")
-    return _canonical_sign(w / norm)
+    return w / norm
 
 
 def wedge_distance(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Chordal Fubini-Study distance on Gr(k, d): min_sign ||v -/+ w|| over
-    the last axis of two stacks of unit wedges."""
+    """Chordal Fubini-Study distance on the Grassmannian: min_sign
+    ||v -/+ w|| over the last axis of two stacks of unit wedges."""
     return np.minimum(np.linalg.norm(v - w, axis=-1),
                       np.linalg.norm(v + w, axis=-1))
 

@@ -51,10 +51,6 @@ class ProjectiveGrid:
     angles: np.ndarray
     nodes: np.ndarray  # (m, 2) unit vectors
 
-    @property
-    def spacing(self) -> float:
-        return math.pi / self.m
-
 
 def build_grid(m: int) -> ProjectiveGrid:
     """Uniform m-node grid; m >= 8."""

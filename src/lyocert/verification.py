@@ -366,34 +366,33 @@ def _bottom_singular_value(a: np.ndarray) -> np.ndarray:
     return np.abs(det) / np.sqrt(_top_eigenvalue(_gram(cof)))
 
 
-def _lemma_block(rng: np.random.Generator, n: int, d: int, k: int):
-    """Draws of n lemma samples, two generator calls per block.
+def _lemma_block(rng: np.random.Generator, n: int):
+    """Draws of n lemma samples in R^3, two generator calls per block.
 
-    rng.random((n, d + 1)): d uniforms for the singular values of g (see
+    rng.random((n, 4)): 3 uniforms for the singular values of g (see
     geometry.matrix_law), then the perturbation scale.
-    rng.standard_normal((n, 3d^2 + 2d + 2dk)), by columns: the two
-    rotations of g (2d^2), the two directions (2d), the perturbation (d^2)
-    and the two (d, k) bases (2dk).
-    Returns g, its singular values (n, d) in descending order, the unit
-    directions (n, 2, d), the perturbation scaled to spectral norm
-    0.1 * scale, that norm, and the bases (n, 2, d, k). d = 3: the
-    perturbation's norm is taken in closed form.
+    rng.standard_normal((n, 45)), by columns: the two rotations of g (18),
+    the two directions (6), the perturbation (9) and the two (3, 2) plane
+    bases (12).
+    Returns g, its singular values (n, 3) in descending order, the unit
+    directions (n, 2, 3), the perturbation scaled to spectral norm
+    0.1 * scale, taken in closed form, that norm, and the bases
+    (n, 2, 3, 2).
     """
-    uniforms = rng.random((n, d + 1))
-    normals = rng.standard_normal((n, 3 * d * d + 2 * d + 2 * d * k))
-    cols = np.cumsum([2 * d * d, 2 * d, d * d])
-    rot, uv, delta, bases = np.split(normals, cols, axis=1)
-    g, sv = matrix_law(uniforms[:, :d], rot.reshape(n, 2, d, d))
-    uv = uv.reshape(n, 2, d)
+    uniforms = rng.random((n, 4))
+    normals = rng.standard_normal((n, 45))
+    rot, uv, delta, bases = np.split(normals, [18, 24, 33], axis=1)
+    g, sv = matrix_law(uniforms[:, :3], rot.reshape(n, 2, 3, 3))
+    uv = uv.reshape(n, 2, 3)
     uv /= np.linalg.norm(uv, axis=-1, keepdims=True)
-    delta = delta.reshape(n, d, d)
-    delta_norm = 0.1 * uniforms[:, d]
+    delta = delta.reshape(n, 3, 3)
+    delta_norm = 0.1 * uniforms[:, 3]
     factor = delta_norm / _top_singular_value(delta)
     delta *= factor[:, None, None]
-    return g, sv, uv, delta, delta_norm, bases.reshape(n, 2, d, k)
+    return g, sv, uv, delta, delta_norm, bases.reshape(n, 2, 3, 2)
 
 
-def _lemma_tallies(samples: int, seed: int, d: int, k: int):
+def _lemma_tallies(samples: int, seed: int):
     """Worst lhs/rhs ratio and violation count of each lemma family."""
     rng = np.random.default_rng(seed)
     worst = {"proj_contract": 0.0, "logform_lip_g": 0.0, "logform_lip_v": 0.0,
@@ -408,7 +407,7 @@ def _lemma_tallies(samples: int, seed: int, d: int, k: int):
     done = 0
     while done < samples:
         n = min(LEMMA_BLOCK, samples - done)
-        g, sv, uv, delta, delta_norm, bases = _lemma_block(rng, n, d, k)
+        g, sv, uv, delta, delta_norm, bases = _lemma_block(rng, n)
         nrm, inv = sv[:, 0], 1.0 / sv[:, -1]
         ecc = nrm * inv
         u = uv[:, 0]
@@ -425,22 +424,23 @@ def _lemma_tallies(samples: int, seed: int, d: int, k: int):
         # direction Lipschitz of the log stretch
         tally("logform_lip_v", np.abs(phi[:, 0] - phi[:, 1]),
               (ecc + 1.0) * d_uv)
-        # Grassmannian contraction and perturbation: the wedge of g B spans
-        # the same line as that of g Q for B = QR, so no plane needs a QR
+        # Grassmannian contraction and perturbation on planes (k = 2): the
+        # wedge of g B spans the same line as that of g Q for B = QR, so no
+        # plane needs a QR
         w = unit_wedge(bases)
         gw = unit_wedge(g[:, None] @ bases)
         tally("grassmann_contract", wedge_distance(gw[:, 0], gw[:, 1]),
-              ecc ** k * wedge_distance(w[:, 0], w[:, 1]))
+              ecc ** 2 * wedge_distance(w[:, 0], w[:, 1]))
         g2w = unit_wedge(g2 @ bases[:, 0])
         tally("grassmann_perturb", wedge_distance(gw[:, 0], g2w),
-              k * np.maximum(nrm, _top_singular_value(g2)) ** (k - 1)
-              * inv_max ** k * delta_norm)
+              2 * np.maximum(nrm, _top_singular_value(g2))
+              * inv_max ** 2 * delta_norm)
         done += n
     return worst, violations
 
 
-def lemma_sampling_suite(samples: int = 100_000, seed: int = 0,
-                         d: int = 3) -> VerificationReport:
+def lemma_sampling_suite(samples: int = 100_000,
+                         seed: int = 0) -> VerificationReport:
     """Randomized checks of the geometric Lipschitz inequalities.
 
     Per sampled instance:
@@ -456,20 +456,19 @@ def lemma_sampling_suite(samples: int = 100_000, seed: int = 0,
         ||g - g'||. Dropping the ||g||^(k-1) factor would break scale
         invariance (take g contracting with k = 1), so the full constant
         is the one validated here.
+    The samples are g, g' in GL(3), directions in R^3 and planes V, W in
+    R^3, so k = 2; geometry.unit_wedge takes planes in R^3 only, and the
+    singular values of g' and the norm of Delta are taken in closed form
+    for 3 x 3 matrices.
     Violations are failures; the report records each family's worst margin.
     Samples are drawn and checked in blocks of LEMMA_BLOCK as stacks, with
     two generator calls per block (see _lemma_block). The stream is laid
     out per block, so changing LEMMA_BLOCK changes the samples. g' = g +
     Delta with ||Delta|| <= 0.1 stays invertible: sigma_min(g) >= 0.2 under
-    geometry.matrix_law, which g follows. Only d = 3 (planes, k = 2) is
-    implemented: the singular values of g' and the norm of Delta are taken
-    in closed form for 3 x 3 matrices.
+    geometry.matrix_law, which g follows.
     """
-    if d != 3:
-        raise ValueError(f"lemma sampling is implemented for d = 3 only, "
-                         f"got d = {d}")
     report = VerificationReport()
-    worst, violations = _lemma_tallies(samples, seed, d, 2)
+    worst, violations = _lemma_tallies(samples, seed)
     for name in worst:
         _check(report, f"lemma.{name}", violations[name] == 0,
                violations[name], 0,

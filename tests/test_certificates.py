@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,19 +20,45 @@ class TestLogValue:
     def test_small_value_round_trips(self):
         lv = cert.LogValue(math.log(42.0))
         assert lv.value == pytest.approx(42.0)
-        assert not lv.is_astronomical
+        assert math.isfinite(lv.value)
         assert lv.to_dict() == {"value": lv.value, "logValue": lv.log}
 
     def test_astronomical_value_is_inf(self):
         lv = cert.LogValue(1899.0)
         assert lv.value == math.inf
-        assert lv.is_astronomical
         assert math.isfinite(lv.log)
 
 
 class TestLadderPieces:
     def test_simplicity_threshold_reference(self):
         assert cert.simplicity_threshold(THETA, GAP) == 11
+
+    def test_simplicity_threshold_rounds_the_exact_quotient_up(self):
+        # the float quotient 2 log 2 / (theta * gap) rounds to 7.0; the
+        # exact quotient of these doubles is 7.00000000000000065
+        assert cert.simplicity_threshold(0.5, 0.39608410317711157) == 8
+
+    @pytest.mark.parametrize("theta", [0.25, 0.5, 1.0])
+    def test_simplicity_threshold_near_ceiling_boundaries(self, theta):
+        # gaps within 4 ulps of 2 log 2 / (n theta), against the exact
+        # ceiling at 60 digits: n0 may exceed it by one (the upper bound of
+        # 2 log 2), never fall below it
+        gaps = []
+        for n in range(2, 100):
+            gap = 2.0 * math.log(2.0) / (n * theta)
+            gaps.append(gap)
+            for direction in (math.inf, -math.inf):
+                g = gap
+                for _ in range(4):
+                    g = math.nextafter(g, direction)
+                    gaps.append(g)
+        with mpmath.workdps(60):
+            two_log2 = 2 * mpmath.log(2)
+            for g in gaps:
+                exact = int(mpmath.ceil(
+                    two_log2 / (mpmath.mpf(theta) * mpmath.mpf(g))))
+                n0 = cert.simplicity_threshold(theta, g)
+                assert exact <= n0 <= exact + 1, g
 
     def test_simplicity_threshold_rejects_bad_input(self):
         with pytest.raises(cert.GapNotSimpleError):
@@ -76,7 +103,7 @@ class TestResolventAndRadii:
 
     def test_explicit_bound_is_astronomical_but_finite_log(self):
         K_full, _ = cert.resolvent_bound(LADDER)
-        assert K_full.is_astronomical
+        assert K_full.value == math.inf
         assert 1000.0 < K_full.log < 1e4
 
     def test_polydisc_radius_reference(self):
@@ -216,7 +243,7 @@ class TestBoundaryConstants:
         b = cert.boundary_constants(REFERENCE, THETA, LADDER, 1.0, 1.0)
         assert isinstance(b["C_K"], cert.LogValue)
         assert isinstance(b["c_E"], cert.LogValue)
-        assert b["C_K"].is_astronomical
+        assert b["C_K"].value == math.inf and math.isfinite(b["C_K"].log)
         assert b["alpha_E"] > 0.0
 
     def test_rejects_nonpositive_fit(self):
@@ -280,7 +307,8 @@ class TestCertify:
         report = cert.certify(REFERENCE, (0.5, 0.5), THETA, GAP,
                               rigorous=True)
         assert report.rigorous
-        assert report.K_star.is_astronomical
+        assert report.K_star.value == math.inf
+        assert math.isfinite(report.K_star.log)
         # exp(log r*) underflows double range; the log stays finite.
         assert report.r_star.value == 0.0
         assert report.r_star.log == pytest.approx(-1902.634, abs=1e-3)

@@ -48,15 +48,11 @@ class TestMatrixTuple:
 
     def test_ecc_invariant_under_scaling(self):
         T = geo.MatrixTuple.from_matrices([geo.sample_matrix(_rng(), 3)])
-        assert T.scaled(3.0).ecc == pytest.approx(T.ecc)
+        scaled = geo.MatrixTuple.from_matrices([3.0 * A for A in T.matrices])
+        assert scaled.ecc == pytest.approx(T.ecc)
 
 
 class TestProjective:
-    def test_canonical_sign_identifies_antipodes(self):
-        u = geo.unit_wedge(np.array([[1.0], [2.0]]))
-        v = geo.unit_wedge(np.array([[-1.0], [-2.0]]))
-        assert np.allclose(u, v)
-
     def test_fs_distance_is_sine_of_angle(self):
         u = np.array([math.cos(0.0), math.sin(0.0)])
         v = np.array([math.cos(0.3), math.sin(0.3)])
@@ -72,9 +68,9 @@ class TestProjective:
     def test_rotation_acts_on_lines(self):
         c, s = math.cos(0.4), math.sin(0.4)
         g = np.array([[c, -s], [s, c]])
-        gv = geo.unit_wedge(g @ [[math.cos(0.1)], [math.sin(0.1)]])
-        want = geo.unit_wedge(np.array([[math.cos(0.5)], [math.sin(0.5)]]))
-        assert np.allclose(gv, want, atol=1e-15)
+        gv = g @ [math.cos(0.1), math.sin(0.1)]
+        want = np.array([-math.cos(0.5), -math.sin(0.5)])  # the same line
+        assert geo.fs_distance_vec(gv, want) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestExteriorPower:
@@ -108,40 +104,42 @@ class TestExteriorPower:
         with pytest.raises(geo.InvalidMatrixError):
             geo.exterior_power(np.ones((2, 3, 4)), 1)
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_wedge_vector_matches_minor_determinants(self, k):
-        # the Laplace expansion against one np.linalg.det per k x k minor
-        bases = _rng(12).standard_normal((50, 4, k))
-        subsets = list(itertools.combinations(range(4), k))
-        want = np.array([[np.linalg.det(b[list(rows)]) for rows in subsets]
-                         for b in bases])
-        got = geo.wedge_vector(bases)
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.abs(want).max()
-
-    def test_wedge_vector_matches_action(self):
-        rng = _rng(5)
-        g = geo.sample_matrix(rng, 4)
-        basis = np.linalg.qr(rng.standard_normal((4, 2)))[0]
-        lhs = geo.exterior_power(g, 2) @ geo.wedge_vector(basis)
-        rhs = geo.wedge_vector(g @ basis)
-        assert np.allclose(lhs, rhs, atol=1e-10 * np.abs(rhs).max())
-
 
 class TestGrassmann:
+    def test_unit_wedge_matches_minor_determinants(self):
+        # the closed-form minors against one np.linalg.det per lex pair of
+        # rows, normalized
+        bases = _rng(12).standard_normal((50, 3, 2))
+        want = np.array([[np.linalg.det(b[list(rows)]) for rows in
+                          itertools.combinations(range(3), 2)] for b in bases])
+        want /= np.linalg.norm(want, axis=-1, keepdims=True)
+        got = geo.unit_wedge(bases)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_unit_wedge_follows_exterior_power(self):
+        # Lambda^2 g maps the wedge of V to a multiple of the wedge of g V
+        rng = _rng(5)
+        g = geo.sample_matrix(rng, 3)
+        basis = rng.standard_normal((3, 2))
+        lhs = geo.exterior_power(g, 2) @ geo.unit_wedge(basis)
+        lhs /= np.linalg.norm(lhs)
+        rhs = geo.unit_wedge(g @ basis)
+        assert geo.wedge_distance(lhs, rhs) == pytest.approx(0.0, abs=1e-14)
+
     def test_unit_wedge_has_unit_norm(self):
-        w = geo.unit_wedge(_rng(6).standard_normal((4, 2)))
+        w = geo.unit_wedge(_rng(6).standard_normal((3, 2)))
         assert np.linalg.norm(w) == pytest.approx(1.0)
 
     def test_distance_zero_for_same_plane(self):
         rng = _rng(7)
-        b = rng.standard_normal((4, 2))
+        b = rng.standard_normal((3, 2))
         # Same plane, different spanning set.
         w = geo.unit_wedge(np.stack([b, b @ rng.standard_normal((2, 2))]))
         assert geo.wedge_distance(w[0], w[1]) == pytest.approx(0.0, abs=1e-10)
 
     def test_distance_symmetry_and_triangle(self):
-        w = geo.unit_wedge(_rng(8).standard_normal((3, 4, 2)))
+        w = geo.unit_wedge(_rng(8).standard_normal((3, 3, 2)))
         a = geo.wedge_distance(w[0], w[1])
         b = geo.wedge_distance(w[1], w[2])
         c = geo.wedge_distance(w[0], w[2])
@@ -158,8 +156,10 @@ class TestGrassmann:
         assert geo.wedge_distance(lhs, rhs) == pytest.approx(0.0, abs=1e-9)
 
     def test_unit_wedge_of_raw_basis_matches_orthonormalized_plane(self):
-        bases = _rng(10).standard_normal((6, 4, 2))
-        want = geo.unit_wedge(np.linalg.qr(bases)[0])
+        # B = QR: the wedge of B is det(R) times the wedge of Q
+        bases = _rng(10).standard_normal((6, 3, 2))
+        q, r = np.linalg.qr(bases)
+        want = geo.unit_wedge(q) * np.sign(np.linalg.det(r))[:, None]
         assert np.max(np.abs(geo.unit_wedge(bases) - want)) <= 1e-14
 
     def test_accepts_small_independent_basis(self):
@@ -174,11 +174,17 @@ class TestGrassmann:
         with pytest.raises(ValueError):
             geo.unit_wedge(np.ones((3, 2)))
         with pytest.raises(ValueError):
-            geo.unit_wedge(np.zeros((3, 1)))
+            geo.unit_wedge(np.zeros((3, 2)))
         bases = _rng(11).standard_normal((3, 3, 2))
         bases[1, :, 1] = 2.0 * bases[1, :, 0]
         with pytest.raises(ValueError):
             geo.unit_wedge(bases)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2), (3, 1), (3, 3),
+                                       (4, 2), (5, 3, 2, 1)])
+    def test_rejects_shapes_other_than_planes_in_r3(self, shape):
+        with pytest.raises(ValueError, match="planes in R"):
+            geo.unit_wedge(_rng(13).standard_normal(shape))
 
 
 @settings(max_examples=50, deadline=None)

@@ -59,8 +59,10 @@ class TestGrid:
     def test_nodes_and_spacing(self):
         g = op.build_grid(10)
         assert g.m == 10
-        assert g.spacing == pytest.approx(math.pi / 10)
         assert np.allclose(g.angles, np.arange(10) * math.pi / 10)
+        assert np.allclose(np.diff(g.angles), math.pi / 10)
+        assert np.allclose(g.nodes, np.column_stack([np.cos(g.angles),
+                                                     np.sin(g.angles)]))
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(ValueError):

@@ -221,9 +221,8 @@ class TestTopExponent:
 
     def test_scaling_shifts_exponent(self):
         spec = orc.CocycleSpec.iid(REFERENCE, (0.5, 0.5))
-        spec2 = orc.CocycleSpec.iid(REFERENCE.tuple.scaled(2.0)
-                                    if hasattr(REFERENCE, "tuple")
-                                    else REFERENCE.scaled(2.0), (0.5, 0.5))
+        spec2 = orc.CocycleSpec.iid(geo.MatrixTuple.from_matrices(
+            [2.0 * A for A in REFERENCE.matrices]), (0.5, 0.5))
         lam, se = orc.estimate_top_exponent(spec, steps=3000, trials=6, seed=3)
         lam2, se2 = orc.estimate_top_exponent(spec2, steps=3000, trials=6,
                                               seed=3)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -68,11 +69,19 @@ class TestReferenceTuple:
         assert tol["reference.n0"] == "exact"
 
 
-def _lemma_tallies_reference(samples, seed, d=3):
+def _unit_wedge_reference(basis):
+    """The wedge of a 3 x 2 basis as one np.linalg.det per lex pair of rows,
+    normalized."""
+    w = np.array([np.linalg.det(basis[list(rows)])
+                  for rows in itertools.combinations(range(3), 2)])
+    return w / np.linalg.norm(w)
+
+
+def _lemma_tallies_reference(samples, seed):
     """Blocks drawn with the two calls of ver._lemma_block, then one sample
     at a time: worst lhs/rhs ratio and violation count."""
     rng = np.random.default_rng(seed)
-    k = 2 if d >= 3 else 1
+    d, k = 3, 2
     worst = {"proj_contract": 0.0, "logform_lip_g": 0.0, "logform_lip_v": 0.0,
              "grassmann_contract": 0.0, "grassmann_perturb": 0.0}
     violations = dict.fromkeys(worst, 0)
@@ -114,14 +123,14 @@ def _lemma_tallies_reference(samples, seed, d=3):
                   (ecc + 1.0) * geo.fs_distance_vec(u, v))
             # planes V, W and their images through orthonormal bases:
             # the wedge of g Q for B = QR
-            V, W = (geo.unit_wedge(b) for b in bases)
+            V, W = (_unit_wedge_reference(b) for b in bases)
             QV, QW = (np.linalg.qr(b)[0] for b in bases)
-            gV = geo.unit_wedge(g @ QV)
+            gV = _unit_wedge_reference(g @ QV)
             tally("grassmann_contract",
-                  geo.wedge_distance(gV, geo.unit_wedge(g @ QW)),
+                  geo.wedge_distance(gV, _unit_wedge_reference(g @ QW)),
                   ecc ** k * geo.wedge_distance(V, W))
             tally("grassmann_perturb",
-                  geo.wedge_distance(gV, geo.unit_wedge(g2 @ QV)),
+                  geo.wedge_distance(gV, _unit_wedge_reference(g2 @ QV)),
                   k * max(nrm, sv2[0]) ** (k - 1)
                   * max(inv, 1.0 / sv2[-1]) ** k * np.linalg.norm(delta, 2))
         done += n
@@ -132,7 +141,7 @@ def _lemma_tallies_reference(samples, seed, d=3):
 @pytest.mark.parametrize("samples", [300, 1000, 2500])
 @pytest.mark.parametrize("seed", [0, 5])
 def test_batched_lemma_tallies_match_per_sample_loop(samples, seed):
-    worst, violations = ver._lemma_tallies(samples, seed, 3, 2)
+    worst, violations = ver._lemma_tallies(samples, seed)
     want_worst, want_violations = _lemma_tallies_reference(samples, seed)
     assert violations == want_violations
     for name, w in want_worst.items():
@@ -143,7 +152,7 @@ def test_lemma_singular_values_are_the_drawn_ones():
     # the drawn singular values against the SVD of g, over 10^4 draws
     rng = np.random.default_rng(6)
     for _ in range(10):
-        g, sv = ver._lemma_block(rng, ver.LEMMA_BLOCK, 3, 2)[:2]
+        g, sv = ver._lemma_block(rng, ver.LEMMA_BLOCK)[:2]
         want = np.linalg.svd(g, compute_uv=False)
         assert np.max(np.abs(sv / want - 1.0)) <= 1e-13
 
@@ -163,7 +172,7 @@ def test_closed_form_factors_match_lapack():
         assert np.all(err <= 4 * eps * np.linalg.cond(normals))
 
         g, _, _, delta, delta_norm, _ = ver._lemma_block(
-            rng, ver.LEMMA_BLOCK, 3, 2)
+            rng, ver.LEMMA_BLOCK)
         want = np.linalg.svd(delta, compute_uv=False)[:, 0]
         assert np.max(np.abs(delta_norm / want - 1.0)) <= 1e-13
         want = np.linalg.svd(g + delta, compute_uv=False)
@@ -171,11 +180,6 @@ def test_closed_form_factors_match_lapack():
         bottom = ver._bottom_singular_value(g + delta)
         assert np.max(np.abs(top / want[:, 0] - 1.0)) <= 1e-13
         assert np.max(np.abs(bottom / want[:, -1] - 1.0)) <= 1e-13
-
-
-def test_lemma_suite_is_for_d3_only():
-    with pytest.raises(ValueError, match="d = 3 only"):
-        ver.lemma_sampling_suite(samples=10, d=4)
 
 
 @pytest.mark.parametrize("m", [100, 101])
