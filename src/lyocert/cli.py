@@ -78,7 +78,8 @@ CONFIG_SCHEMA = {
         "contour": {
             "type": "object", "additionalProperties": False, "default": {},
             "properties": {
-                "radius": {"type": ["number", "null"], "default": None},
+                "radius": {"type": ["number", "null"], "exclusiveMinimum": 0,
+                           "default": None},
                 "nodes": {"type": "integer", "minimum": 4, "default": 32},
                 "order": {"type": "integer", "minimum": 1, "default": 6},
                 "direction": {"type": ["array", "null"],
@@ -329,6 +330,14 @@ def load_config(path: str | None) -> dict:
                    else f"rows of lengths {[len(row) for row in rows]}")
             raise ConfigError(f"config invalid at {where}: expected a "
                               f"{n}x{n} matrix, got {got}")
+    n, direction = len(cfg["matrices"]), cfg["contour"]["direction"]
+    if direction is not None and len(direction) != n:
+        raise ConfigError("config invalid at $.contour.direction: expected "
+                          f"{n} entries, one per matrix, got {len(direction)}")
+    b = cfg["boundary"]
+    if (b["cTau"] is None) != (b["gammaTau"] is None):
+        raise ConfigError("config invalid at $.boundary: boundary.cTau and "
+                          "boundary.gammaTau must be set together")
     return cfg
 
 
@@ -410,14 +419,6 @@ def serialize_report(report, indent: int = 0) -> str:
     return _fmt(report)
 
 
-def _write_out(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Report builders.
 
@@ -480,8 +481,19 @@ def build_certificate(cfg: dict, spec: CocycleSpec) -> cert.CertificateReport:
         provenance={"gap": gap_prov})
 
 
+def contour_radius(cfg: dict, rep: cert.CertificateReport) -> float:
+    """contour.radius, else rep's extension radius r*/2, which underflows
+    to 0 under flags.rigorousK."""
+    radius = cfg["contour"]["radius"] or rep.r_extension.value
+    if not radius > 0.0:
+        raise ConfigError("flags.rigorousK: the certified extension radius "
+                          f"exp({rep.r_extension.log:.6g}) underflows to 0; "
+                          "set contour.radius")
+    return radius
+
+
 # ---------------------------------------------------------------------------
-# Subcommand handlers. Each returns (exit_code, report_dict, csv_rows).
+# Subcommand handlers. Each returns (exit_code, report_dict).
 
 def cmd_estimate(cfg, args):
     spec = cocycle_from_config(cfg)
@@ -502,13 +514,13 @@ def cmd_estimate(cfg, args):
         report["topExponent"] = leaf(
             lam, "chain-qr-cocycle-mean", {"stderr": se, **mc})
         report["chainGap"] = leaf(spec.chain_gap, "transition-spectral-gap")
-    return EXIT_OK, report, None
+    return EXIT_OK, report
 
 
 def cmd_certify(cfg, args):
     spec = cocycle_from_config(cfg)
     rep = build_certificate(cfg, spec)
-    return EXIT_OK, certificate_to_report(rep), None
+    return EXIT_OK, certificate_to_report(rep)
 
 
 def cmd_extend(cfg, args):
@@ -530,7 +542,7 @@ def cmd_extend(cfg, args):
         "value": leaf(value, "stationary-functional-extension",
                       {"gridM": grid.m}),
         "gridM": grid.m,
-    }, None
+    }
 
 
 def moving_weights_spec(cfg: dict, command: str) -> CocycleSpec:
@@ -548,19 +560,10 @@ def cmd_taylor(cfg, args):
     spec = moving_weights_spec(cfg, "taylor")
     rep = build_certificate(cfg, spec)
     ct = cfg["contour"]
-    N = spec.tuple.N
     direction = ct["direction"]
-    if direction is None:
-        direction = np.zeros(N)
-        direction[0], direction[1] = 1.0, -1.0
-    radius = ct["radius"]
-    if radius is None:
-        radius = rep.r_extension.value
-        if not radius > 0.0:
-            raise ConfigError(
-                "flags.rigorousK: the certified extension radius "
-                f"exp({rep.r_extension.log:.6g}) "
-                "underflows to 0; set contour.radius")
+    if direction is None:  # weight moves from the first matrix to the second
+        direction = np.eye(spec.tuple.N)[0] - np.eye(spec.tuple.N)[1]
+    radius = contour_radius(cfg, rep)
     basis = top.TransferBasis(spec.tuple, top.build_grid(cfg["grid"]["m"]))
     coeffs = top.taylor_coefficients(basis, spec.weights, direction,
                                      ct["order"], radius, ct["nodes"])
@@ -577,7 +580,7 @@ def cmd_taylor(cfg, args):
                              "caveat": "finite-order surrogate"}),
         "certificateRadius": leaf(rep.r_star, "kato-polydisc-radius"),
     }
-    return EXIT_OK, report, None
+    return EXIT_OK, report
 
 
 def cmd_scan_boundary(cfg, args):
@@ -594,14 +597,16 @@ def cmd_scan_boundary(cfg, args):
     out = ver.boundary_scan(
         spec.tuple, cfg["theta"], cfg["mc"], index=b["index"],
         steps=b["steps"], t_max=b["tMax"], grid_m=min(cfg["grid"]["m"], 600),
-        p0=spec.weights)
-    csv_rows = [("t", "p_min", "gap", "r_star", "lower_bound")]
-    for r in out["rows"]:
-        log_lb = r.get("log_lower_bound")
-        lb = 0.0 if log_lb is None else (
-            math.exp(log_lb) if log_lb > -700 else 0.0)
-        csv_rows.append((r["t"], r["p_min"], r["gap"], r["r_star"], lb))
-    return EXIT_OK, out, csv_rows
+        p0=spec.weights, rigorous=cfg["flags"]["rigorousK"])
+    if args.csv:
+        rows = [("t", "p_min", "gap", "r_star", "lower_bound")]
+        for r in out["rows"]:
+            log_lb = r.get("log_lower_bound", -math.inf)
+            rows.append((r["t"], r["p_min"], r["gap"], r["r_star"],
+                         math.exp(log_lb) if log_lb > -700 else 0.0))
+        with open(args.csv, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+    return EXIT_OK, out
 
 
 def cmd_chain(cfg, args):
@@ -619,7 +624,7 @@ def cmd_chain(cfg, args):
                                         top.TransferBasis(spec.tuple, grid))
         report["chainOperatorValue"] = leaf(val, "chain-stationary-functional",
                                             {"gridM": grid.m})
-    return EXIT_OK, report, None
+    return EXIT_OK, report
 
 
 def cmd_grassmann(cfg, args):
@@ -655,7 +660,7 @@ def cmd_grassmann(cfg, args):
             report["levels"][str(k)] = {
                 kk: leaf(vv, "grassmann-level-k-certificate", {"k": k})
                 for kk, vv in rec.items()}
-    return EXIT_OK, report, None
+    return EXIT_OK, report
 
 
 def _run_checks(report: ver.VerificationReport, producer, *args, **kwargs):
@@ -670,15 +675,11 @@ def _run_checks(report: ver.VerificationReport, producer, *args, **kwargs):
 
 
 def cmd_example(cfg, args):
+    rep = ver.reference_certificate()
     report = ver.VerificationReport()
-    _run_checks(report, ver.reproduce_reference_example)
-    code = EXIT_OK if report.passed else EXIT_VERIFICATION
-    tuple_ = ver.reference_tuple()
-    rep = cert.certify(tuple_, ver.REFERENCE_P, ver.REFERENCE_THETA,
-                       ver.REFERENCE_GAP)
-    out = {"checks": report.to_dict(),
-           "certificate": certificate_to_report(rep)}
-    return code, out, None
+    _run_checks(report, ver.reproduce_reference_example, rep)
+    return (EXIT_OK if report.passed else EXIT_VERIFICATION), {
+        "checks": report.to_dict(), "certificate": certificate_to_report(rep)}
 
 
 def cmd_verify(cfg, args):
@@ -686,24 +687,30 @@ def cmd_verify(cfg, args):
     samples = 10_000 if args.fast else 100_000
     grid_m = 200 if args.fast else min(cfg["grid"]["m"], 400)
     seed = cfg["mc"]["seed"]
+    # a contour radius that underflows fails before any check runs
+    iid_operator = spec.tuple.d == 2 and spec.kind == "iid"
+    if iid_operator:
+        rep = build_certificate(cfg, spec)
+        radius = contour_radius(cfg, rep)
     report = ver.VerificationReport()
-    _run_checks(report, ver.reproduce_reference_example)
+    _run_checks(report, ver.reproduce_reference_example,
+                ver.reference_certificate())
     _run_checks(report, ver.lemma_sampling_suite, samples=samples, seed=seed)
     _run_checks(report, ver.exterior_norm_identity_check,
                 samples=max(samples // 10, 1000), seed=seed + 1)
     _run_checks(report, ver.resolvent_identity_check, seed=seed + 2)
     if spec.tuple.d == 2:
-        _run_checks(report, ver.holder_operator_norm_check, spec.tuple,
-                    cfg["theta"], grid_m=min(grid_m, 200))
-    if spec.tuple.d == 2 and spec.kind == "iid":
-        gap, _ = resolve_gap(cfg, spec)
-        _run_checks(report, ver.check_cauchy_dominance, spec.tuple,
-                    spec.weights, cfg["theta"], gap, grid_m=grid_m)
-        _run_checks(report, ver.markov_iid_reduction_check, spec.tuple,
-                    spec.weights, {**cfg["mc"], "seed": seed + 3},
-                    grid_m=grid_m)
-    code = EXIT_OK if report.passed else EXIT_VERIFICATION
-    return code, report.to_dict(), None
+        basis = top.TransferBasis(spec.tuple, top.build_grid(min(grid_m, 200)))
+        _run_checks(report, ver.holder_operator_norm_check, basis,
+                    cfg["theta"])
+    if iid_operator:
+        if basis.grid.m != grid_m:
+            basis = top.TransferBasis(spec.tuple, top.build_grid(grid_m))
+        _run_checks(report, ver.check_cauchy_dominance, basis, spec.weights,
+                    rep, radius)
+        _run_checks(report, ver.markov_iid_reduction_check, basis,
+                    spec.weights, {**cfg["mc"], "seed": seed + 3})
+    return (EXIT_OK if report.passed else EXIT_VERIFICATION), report.to_dict()
 
 
 COMMANDS = {
@@ -744,7 +751,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid-m", type=int, default=None)
         p.add_argument("--out", default=None, help="report path (default "
                                                    "stdout)")
-        p.add_argument("--csv", default=None, help="CSV table path")
+        if name == "scan-boundary":
+            p.add_argument("--csv", default=None, help="CSV table path")
         if name == "extend":
             p.add_argument("--z", default=None,
                            help="complex weights as JSON [[re, im], ...]")
@@ -769,7 +777,7 @@ def main(argv=None) -> int:
             if bad is not None:
                 raise ConfigError(f"{flag} {bad.message}")
             node[key] = value
-        code, report, csv_rows = COMMANDS[args.command](cfg, args)
+        code, report = COMMANDS[args.command](cfg, args)
     except (ConfigError, GapNotSimpleError, InvalidMatrixError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -782,10 +790,12 @@ def main(argv=None) -> int:
     except ConstantValidationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    _write_out(serialize_report(report), args.out)
-    if args.csv and csv_rows:
-        with open(args.csv, "w", newline="") as fh:
-            csv.writer(fh).writerows(csv_rows)
+    text = serialize_report(report) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return code
 
 

@@ -3,7 +3,9 @@
 Ties certificates, Monte Carlo oracles, and the discretized operator
 together: reference-example reproduction, Cauchy dominance of measured
 derivatives, boundary-degeneration scans, Markov-to-iid reduction, sampled
-Lipschitz-lemma suites, and eigenvalue-collision scans.
+Lipschitz-lemma suites, and eigenvalue-collision scans. Checks take the
+caller's certificate (cli.build_certificate) and TransferBasis; only the
+reference example and the boundary_scan rows are certified here.
 """
 
 from __future__ import annotations
@@ -96,68 +98,65 @@ REFERENCE_TARGETS = {
 }
 
 
-def reproduce_reference_example() -> VerificationReport:
-    """Recompute the certificate ladder of the two-matrix reference family.
+def reference_certificate() -> cert.CertificateReport:
+    """The reference family's certificate, with the default K*_sp."""
+    return cert.certify(reference_tuple(), REFERENCE_P, REFERENCE_THETA,
+                        REFERENCE_GAP)
+
+
+def reproduce_reference_example(
+        rep: cert.CertificateReport) -> VerificationReport:
+    """Check rep, the reference certificate, against the reference ladder.
 
     Checks n0, N_theta exactly, C2 to rounding, and the derived constants at
     3-5% relative tolerance (the reference values are rounded intermediates).
     """
     report = VerificationReport()
-    rep = cert.certify(reference_tuple(), REFERENCE_P, REFERENCE_THETA,
-                       REFERENCE_GAP)
     for name, (target, rel_tol) in REFERENCE_TARGETS.items():
         measured = getattr(rep.ladder if hasattr(rep.ladder, name) else rep,
                            name)
         if isinstance(measured, cert.LogValue):
             measured = measured.value
         if rel_tol is None:
-            _check(report, f"reference.{name}", measured == target, measured,
-                   target, "exact")
+            ok, tolerance = measured == target, "exact"
         else:
-            _check(report, f"reference.{name}",
-                   abs(measured - target) <= rel_tol * abs(target), measured,
-                   target, f"{rel_tol * 100:g}% relative")
+            ok = abs(measured - target) <= rel_tol * abs(target)
+            tolerance = f"{rel_tol * 100:g}% relative"
+        _check(report, f"reference.{name}", ok, measured, target, tolerance)
     return report
 
 
 # ---------------------------------------------------------------------------
 # Cauchy dominance of measured contour derivatives.
 
-def check_cauchy_dominance(tuple_: MatrixTuple, p0, theta: float, gap: float,
-                           max_order: int = 4, grid_m: int = 400,
-                           contour_radius: float | None = None,
-                           nodes: int | None = None) -> VerificationReport:
-    """Measured derivative magnitudes vs the closed-form Cauchy bounds.
+def check_cauchy_dominance(basis: top.TransferBasis, p0,
+                           rep: cert.CertificateReport, radius: float,
+                           max_order: int = 4) -> VerificationReport:
+    """Measured derivative magnitudes vs the Cauchy bounds of rep.
 
-    Contour Taylor coefficients along each zero-sum basis direction are
-    converted to derivative magnitudes |c_j j!| and compared against both
-    bound conventions; the verdict is pass iff the "example" convention
-    dominates every measured value.
+    Contour Taylor coefficients at p0 along each zero-sum basis direction,
+    on the circle of the given radius, are converted to derivative
+    magnitudes |c_j j!| and compared against the bounds from rep's M* and
+    r* in both conventions; the verdict is pass iff the "example"
+    convention dominates every measured value.
     """
     report = VerificationReport()
-    rep = cert.certify(tuple_, p0, theta, gap)
-    basis = top.TransferBasis(tuple_, top.build_grid(grid_m))
-    r_c = (contour_radius if contour_radius is not None
-           else rep.r_extension.value)
-    Q = nodes if nodes is not None else max(4 * max_order, 16)
-    N = tuple_.N
+    N = basis.tuple.N
     for k in range(N - 1):
-        u = np.zeros(N)
-        u[k], u[k + 1] = 1.0, -1.0
+        u = np.eye(N)[k] - np.eye(N)[k + 1]
         try:
-            coeffs = top.taylor_coefficients(basis, p0, u, max_order, r_c, Q)
+            coeffs = top.taylor_coefficients(basis, p0, u, max_order, radius,
+                                             max(4 * max_order, 16))
         except top.ContourTooLargeError as exc:
             _check(report, f"cauchy_dominance.direction{k}", False, None,
                    None, "contour", str(exc))
             continue
         for j in range(max_order + 1):
-            alpha = np.zeros(N, dtype=int)
-            alpha[k] = j
+            alpha = j * np.eye(N, dtype=int)[k]
             measured = abs(coeffs[j]) * math.factorial(j)
-            bound_ex = cert.cauchy_bound(rep.M_star, rep.r_star, alpha,
-                                         "example").value
-            bound_tb = cert.cauchy_bound(rep.M_star, rep.r_star, alpha,
-                                         "theoremB-proof").value
+            bound_ex, bound_tb = (
+                cert.cauchy_bound(rep.M_star, rep.r_star, alpha, c).value
+                for c in ("example", "theoremB-proof"))
             _check(report, f"cauchy_dominance.dir{k}.order{j}",
                    measured <= bound_ex, measured, bound_ex,
                    "dominance (example convention)",
@@ -170,19 +169,20 @@ def check_cauchy_dominance(tuple_: MatrixTuple, p0, theta: float, gap: float,
 
 def boundary_scan(tuple_: MatrixTuple, theta: float, mc: dict,
                   index: int = 0, steps: int = 6, t_max: float | None = None,
-                  grid_m: int = 400, p0=None) -> dict:
+                  grid_m: int = 400, p0=None, rigorous: bool = False) -> dict:
     """Certificate-radius sweep toward the simplex boundary.
 
     Lowers weight `index` from p0 (default uniform) by up to t_max (default
     0.9 p0[index]) along the line toward the opposite vertex, recording the
     Lyapunov gap (Monte Carlo settings mc, row k at seed + k), the second
     eigenvalue modulus rho2 of the discretized operator (d = 2 only, NaN
-    otherwise), and the radius of cert.certify. Fits the spectral-gap proxy
-    log(1 - rho2) against log(p_min) by least squares for the decay exponent
-    gamma, sets the coefficient c_tau as the pointwise lower envelope of the
-    fit, and checks the resulting lower-bound chain r*(p(t)) >= c_E
-    p_min^alpha_E in log space at every scan point. Without rho2 (d >= 3)
-    the fit is indeterminate.
+    otherwise), and the radius of cert.certify at p(t) and that gap, with
+    the explicit K* when rigorous and K*_sp otherwise. Fits the spectral-gap
+    proxy log(1 - rho2) against log(p_min) by least squares for the decay
+    exponent gamma, sets the coefficient c_tau as the pointwise lower
+    envelope of the fit, and checks the resulting lower-bound chain
+    r*(p(t)) >= c_E p_min^alpha_E in log space at every scan point.
+    Without rho2 (d >= 3) the fit is indeterminate.
     """
     N = tuple_.N
     p0 = np.full(N, 1.0 / N) if p0 is None else np.asarray(p0, dtype=float)
@@ -204,7 +204,8 @@ def boundary_scan(tuple_: MatrixTuple, theta: float, mc: dict,
                                        **{**mc, "seed": mc["seed"] + k})
         rho2 = (top.spectral_gap_measured(top.assemble_operator(basis, p))[0]
                 if basis is not None else float("nan"))
-        certs.append(cert.certify(tuple_, p, theta, gap_hat))
+        certs.append(cert.certify(tuple_, p, theta, gap_hat,
+                                  rigorous=rigorous))
         rows.append({"t": float(t), "p_min": p_min, "gap": gap_hat,
                      "gap_stderr": gap_se, "rho2": rho2,
                      "r_star": certs[-1].r_star.value})
@@ -249,19 +250,19 @@ def boundary_scan(tuple_: MatrixTuple, theta: float, mc: dict,
 # Markov-to-iid reduction and partial-sum consistency. The second Monte
 # Carlo estimate of each check takes the settings mc with seed + 1.
 
-def markov_iid_reduction_check(tuple_: MatrixTuple, p, mc: dict,
-                               grid_m: int = 400) -> VerificationReport:
-    """A chain with identical rows p must reproduce the iid cocycle."""
+def markov_iid_reduction_check(basis: top.TransferBasis, p,
+                               mc: dict) -> VerificationReport:
+    """A chain with identical rows p must reproduce the iid cocycle, on the
+    operator of basis and by Monte Carlo."""
     report = VerificationReport()
+    tuple_ = basis.tuple
     p = np.asarray(p, dtype=float)
     P = np.tile(p, (tuple_.N, 1))
-    if tuple_.d == 2:
-        basis = top.TransferBasis(tuple_, top.build_grid(grid_m))
-        v_iid = top.analytic_extension_value(basis, p)
-        v_chain = top.chain_extension_value(P, basis)
-        diff = abs(v_chain - v_iid)
-        _check(report, "markov_iid.operator", diff <= 1e-8, diff, 0.0,
-               "1e-8", f"iid {v_iid}, chain {v_chain}")
+    v_iid = top.analytic_extension_value(basis, p)
+    v_chain = top.chain_extension_value(P, basis)
+    diff = abs(v_chain - v_iid)
+    _check(report, "markov_iid.operator", diff <= 1e-8, diff, 0.0, "1e-8",
+           f"iid {v_iid}, chain {v_chain}")
     iid_spec = CocycleSpec.iid(tuple_, p)
     chain_spec = CocycleSpec.markov(tuple_, P)
     l_iid, se_iid = estimate_top_exponent(iid_spec, **mc)
@@ -523,20 +524,18 @@ def _grid_holder_seminorm(f: np.ndarray, theta: float) -> np.ndarray:
     return out
 
 
-def holder_operator_norm_check(tuple_: MatrixTuple, theta: float,
-                               grid_m: int = 200, functions: int = 200,
-                               seed: int = 2,
+def holder_operator_norm_check(basis: top.TransferBasis, theta: float,
+                               functions: int = 200, seed: int = 2,
                                slack: float = 0.05) -> VerificationReport:
     """Discretized single-matrix transfer norm vs 1 + ecc^(2 theta).
 
-    Random trigonometric test functions on the grid; the Holder quotient
-    norm of T_i f is compared to (1 + ecc(A_i)^(2 theta)) times that of f,
-    with the stated discretization slack added to the constant.
+    Random trigonometric test functions on the grid of basis; the Holder
+    quotient norm of T_i f is compared to (1 + ecc(A_i)^(2 theta)) times
+    that of f, with the stated discretization slack added to the constant.
     """
     report = VerificationReport()
     rng = np.random.default_rng(seed)
-    basis = top.TransferBasis(tuple_, top.build_grid(grid_m))
-    angles = basis.grid.angles
+    tuple_, angles = basis.tuple, basis.grid.angles
 
     def holder_norm(F):
         return np.max(np.abs(F), axis=-1) + _grid_holder_seminorm(F, theta)
@@ -619,32 +618,22 @@ def resolvent_identity_check(trials: int = 20, seed: int = 3,
 # ---------------------------------------------------------------------------
 # Eigenvalue-collision scan.
 
-def collapse_scan(tuple_: MatrixTuple, p0, grid_m: int = 200,
-                  r_extension: float | None = None,
-                  radii=None, directions: int = 4, *,
-                  theta: float | None = None,
-                  gap: float | None = None) -> dict:
+def collapse_scan(tuple_: MatrixTuple, p0, r_extension: float,
+                  grid_m: int = 200, radii=None,
+                  directions: int = 4) -> dict:
     """Sweep complex weight perturbations until the leading eigenvalue collides.
 
     Zero-sum directions with complex phases are scanned outward; the
     smallest |t| triggering an eigenvalue collision is reported, or
     none-found. When a collision is found its distance is compared against
-    the extension radius (the collapse set must avoid the polydisc). Without
-    r_extension, the radius is certified for this tuple at p0 from theta and
-    gap, which are then required.
+    the extension radius r_extension of the certificate at p0 (the collapse
+    set must avoid the polydisc).
     """
     p0 = np.asarray(p0, dtype=float)
-    N = tuple_.N
     basis = top.TransferBasis(tuple_, top.build_grid(grid_m))
-    if r_extension is None:
-        if theta is None or gap is None:
-            raise ValueError("collapse_scan needs r_extension, or theta and "
-                             "gap to certify it")
-        r_extension = cert.certify(tuple_, p0, theta, gap).r_extension.value
     if radii is None:
         radii = r_extension * np.geomspace(0.25, 20.0, 12)
-    base = np.zeros(N)
-    base[0], base[1] = 1.0, -1.0
+    base = np.eye(tuple_.N)[0] - np.eye(tuple_.N)[1]
     found = math.inf
     for q in range(directions):
         phase = np.exp(2j * math.pi * q / directions)

@@ -34,7 +34,7 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
 # ---------------------------------------------------------------------------
 
 def test_criterion_1_worked_example_ladder():
-    report = ver.reproduce_reference_example()
+    report = ver.reproduce_reference_example(ver.reference_certificate())
     failed = [c for c in report.checks if c.status == "fail"]
     detail = "; ".join(
         f"{c.name}: measured={c.measured} target={c.target}" for c in failed
@@ -170,13 +170,14 @@ def test_criterion_5_neumann_criterion():
 # ---------------------------------------------------------------------------
 
 def test_criterion_6_cauchy_dominance():
-    report = ver.check_cauchy_dominance(REFERENCE, P0, THETA, GAP,
-                                        max_order=4, grid_m=300)
+    basis = op.TransferBasis(REFERENCE, op.build_grid(300))
+    rep = cert.certify(REFERENCE, P0, THETA, GAP)
+    report = ver.check_cauchy_dominance(basis, P0, rep,
+                                        rep.r_extension.value, max_order=4)
     failed = [c for c in report.checks if c.status == "fail"]
     problems = [f"{c.name}: {c.detail}" for c in failed]
 
     # Order-1 measured magnitude is O(1) while the certified bound is huge.
-    basis = op.TransferBasis(REFERENCE, op.build_grid(300))
     ladder = cert.build_ladder(REFERENCE, THETA, GAP)
     _, k_sp = cert.resolvent_bound(ladder)
     r_star, r_extension = cert.polydisc_radius(ladder, k_sp, REFERENCE)
@@ -200,8 +201,8 @@ def test_criterion_6_cauchy_dominance():
 def test_criterion_7_chain_reduction():
     problems = []
     report = ver.markov_iid_reduction_check(
-        REFERENCE, P0, {"steps": 20000, "trials": 12, "seed": 0,
-                        "burnin": 1000}, grid_m=300)
+        op.TransferBasis(REFERENCE, op.build_grid(300)), P0,
+        {"steps": 20000, "trials": 12, "seed": 0, "burnin": 1000})
     failed = [c for c in report.checks if c.status == "fail"]
     problems += [f"{c.name}: {c.detail}" for c in failed]
 

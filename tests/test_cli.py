@@ -11,6 +11,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import lyocert.certificates as cert
 import lyocert.cli as cli
 import lyocert.geometry as geo
 import lyocert.operator as op
@@ -98,6 +99,10 @@ MALFORMED_CONFIGS = {
                                  ("boundary", "gapProxy", "measured"))},
     "non-object": lambda cfg: [cfg],
 }
+
+
+BOUNDARY_PAIR = ("$.boundary: boundary.cTau and boundary.gammaTau must be "
+                 "set together")
 
 
 # (key,) of each top-level setting with a default, then (block, key) of each
@@ -247,6 +252,27 @@ class TestConfigLoading:
             del cfg["weights"]
         _set(list(key), rows)(cfg)
         path = tmp_path / "ragged.json"
+        path.write_text(json.dumps(cfg))
+        assert run([command, "--config", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: config invalid at {where}\n"
+
+    @pytest.mark.parametrize("command,key,value,where", [
+        ("taylor", ("contour", "direction"), [1.0, -0.5, -0.5],
+         "$.contour.direction: expected 2 entries, one per matrix, got 3"),
+        ("taylor", ("contour", "radius"), -1e-6,
+         "$.contour.radius: -1e-06 is less than or equal to the minimum "
+         "of 0"),
+        ("certify", ("boundary", "cTau"), 0.5, BOUNDARY_PAIR),
+        ("certify", ("boundary", "gammaTau"), 1.0, BOUNDARY_PAIR),
+    ], ids=["direction-length", "negative-radius", "cTau-alone",
+            "gammaTau-alone"])
+    def test_setting_error_names_its_key(self, command, key, value, where,
+                                         tmp_path, reference_cfg, capsys):
+        # Each got past load_config before: to numpy's broadcast error, to
+        # a radius error that named no key, and to a dropped boundary block.
+        cfg = copy.deepcopy(reference_cfg)
+        _set(list(key), value)(cfg)
+        path = tmp_path / "bad.json"
         path.write_text(json.dumps(cfg))
         assert run([command, "--config", str(path)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == f"error: config invalid at {where}\n"
@@ -480,7 +506,7 @@ def test_parser_is_built_once_and_namespaces_stay_apart(monkeypatch,
 
     def record(cfg, args):
         seen.append(args)
-        return cli.EXIT_OK, {}, None
+        return cli.EXIT_OK, {}
 
     monkeypatch.setitem(cli.COMMANDS, "verify", record)
     monkeypatch.setitem(cli.COMMANDS, "certify", record)
@@ -493,6 +519,14 @@ def test_parser_is_built_once_and_namespaces_stay_apart(monkeypatch,
     assert seen[0].fast
     assert not hasattr(seen[1], "fast") and seen[1].theta == 0.4
     assert not seen[2].fast and seen[2].theta is None
+
+
+def test_csv_belongs_to_scan_boundary_only(capsys):
+    # scan-boundary is the one command that writes a table
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["certify", "--csv", "x"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --csv x" in capsys.readouterr().err
 
 
 def assert_leaves_have_formula_ids(report):
@@ -617,6 +651,58 @@ class TestOtherCommands:
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "flags.rigorousK" in err and "contour.radius" in err
+
+    def test_verify_names_the_flag_when_the_radius_underflows(
+            self, rigorous_cfg_path, capsys):
+        # verify's Cauchy check takes its contour radius as taylor does
+        code = run(["verify", "--fast", "--config", rigorous_cfg_path])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "flags.rigorousK" in err and "contour.radius" in err
+
+    def test_verify_checks_the_rigorous_cauchy_bounds(self, tmp_path,
+                                                      reference_cfg):
+        cfg = copy.deepcopy(reference_cfg)
+        cfg["flags"]["rigorousK"] = True
+        cfg["contour"]["radius"] = 8e-6
+        path = tmp_path / "rigorous.json"
+        path.write_text(json.dumps(cfg))
+        code, report = run_json(["verify", "--fast", "--config", str(path)],
+                                tmp_path)
+        assert code == cli.EXIT_OK
+        spec = cli.cocycle_from_config(cfg)
+        rep = cert.certify(spec.tuple, spec.weights, cfg["theta"],
+                           cfg["gap"], rigorous=True)
+        targets = {c["name"]: c["target"] for c in report["checks"]
+                   if c["name"].startswith("cauchy_dominance.")}
+        assert sorted(targets) == [f"cauchy_dominance.dir0.order{j}"
+                                   for j in range(5)]
+        for j in range(5):
+            bound = cert.cauchy_bound(rep.M_star, rep.r_star, (j, 0),
+                                      "example").value
+            assert targets[f"cauchy_dominance.dir0.order{j}"] == json.loads(
+                cli.serialize_report(bound))
+
+    def test_scan_boundary_rows_take_the_rigorous_radius(
+            self, tmp_path, reference_cfg):
+        cfg = copy.deepcopy(reference_cfg)
+        cfg["flags"]["rigorousK"] = True
+        cfg["mc"] = {"steps": 2000, "trials": 4, "seed": 0, "burnin": 500}
+        cfg["boundary"]["steps"] = 3
+        path = tmp_path / "rigorous.json"
+        path.write_text(json.dumps(cfg))
+        code, report = run_json(["scan-boundary", "--config", str(path)],
+                                tmp_path)
+        assert code == cli.EXIT_OK
+        spec = cli.cocycle_from_config(cfg)
+        for row in report["rows"]:
+            # row t moves weight from the first matrix to the second
+            p = spec.weights - row["t"] * np.array([1.0, -1.0])
+            want = cert.certify(spec.tuple, p, cfg["theta"], row["gap"],
+                                rigorous=True).r_star.value
+            assert row["r_star"] == want
+            assert want < cert.certify(spec.tuple, p, cfg["theta"],
+                                       row["gap"]).r_star.value
 
     def test_extend_at_complex_weights(self, tmp_path):
         z = json.dumps([[0.5001, 1e-5], [0.4999, -1e-5]])
@@ -825,6 +911,7 @@ class TestOtherCommands:
         cfg = copy.deepcopy(reference_cfg)
         cfg["matrices"] = [[[1e150, 0.0], [0.0, 1e-150]]]
         cfg["weights"] = [1.0]
+        cfg["contour"]["direction"] = None  # one entry per matrix
         cfg["mc"] = {"steps": 200, "trials": 2}
         path = tmp_path / "overflow.json"
         path.write_text(json.dumps(cfg))

@@ -53,7 +53,7 @@ class TestReferenceTuple:
         assert REFERENCE.determinants == pytest.approx([1.0, 1.0])
 
     def test_reference_example_report(self):
-        rep = ver.reproduce_reference_example()
+        rep = ver.reproduce_reference_example(ver.reference_certificate())
         assert rep.passed
         assert len(rep.checks) == 10
         by_name = {c.name: c for c in rep.checks}
@@ -62,7 +62,8 @@ class TestReferenceTuple:
 
     def test_reference_tolerances_render_the_applied_tolerance(self):
         tol = {c.name: c.tolerance
-               for c in ver.reproduce_reference_example().checks}
+               for c in ver.reproduce_reference_example(
+                   ver.reference_certificate()).checks}
         assert tol["reference.C2"] == "1e-10% relative"
         assert tol["reference.tau0"] == "3% relative"
         assert tol["reference.cauchy_second"] == "5% relative"
@@ -226,8 +227,7 @@ def test_stacked_transfer_norm_check_matches_per_function_loop():
             worst = max(worst, ratio / bound)
             violations += ratio > bound
     record, = ver.holder_operator_norm_check(
-        REFERENCE, theta, grid_m=grid_m, functions=functions,
-        slack=slack).checks
+        basis, theta, functions=functions, slack=slack).checks
     assert record.measured == violations == 0
     assert record.detail == f"worst ratio/bound {worst:.6f}" \
         == "worst ratio/bound 0.351297"
@@ -267,8 +267,8 @@ class TestSamplingSuites:
         assert rep.passed
 
     def test_holder_operator_norm(self):
-        rep = ver.holder_operator_norm_check(REFERENCE, 0.5, grid_m=100,
-                                             functions=50)
+        basis = top.TransferBasis(REFERENCE, top.build_grid(100))
+        rep = ver.holder_operator_norm_check(basis, 0.5, functions=50)
         assert rep.passed
 
     def test_resolvent_identities(self):
@@ -288,14 +288,15 @@ class TestConsistencyChecks:
 
     def test_markov_iid_reduction(self):
         rep = ver.markov_iid_reduction_check(
-            REFERENCE, (0.5, 0.5),
-            {"steps": 8000, "trials": 8, "seed": 0, "burnin": 1000},
-            grid_m=200)
+            top.TransferBasis(REFERENCE, top.build_grid(200)), (0.5, 0.5),
+            {"steps": 8000, "trials": 8, "seed": 0, "burnin": 1000})
         assert rep.passed
 
     def test_cauchy_dominance_small(self):
-        rep = ver.check_cauchy_dominance(REFERENCE, (0.5, 0.5), 0.5, 0.26,
-                                         max_order=2, grid_m=150)
+        rep = cert.certify(REFERENCE, (0.5, 0.5), 0.5, 0.26)
+        rep = ver.check_cauchy_dominance(
+            top.TransferBasis(REFERENCE, top.build_grid(150)), (0.5, 0.5),
+            rep, rep.r_extension.value, max_order=2)
         assert rep.passed
 
 
@@ -342,37 +343,19 @@ class TestBoundaryScan:
 
 
 class TestCollapseScan:
+    R_EXTENSION = ver.reference_certificate().r_extension.value
+
     def test_no_collision_inside_extension_disc(self):
-        scan = ver.collapse_scan(REFERENCE, (0.5, 0.5), grid_m=100,
-                                 theta=ver.REFERENCE_THETA,
-                                 gap=ver.REFERENCE_GAP)
+        scan = ver.collapse_scan(REFERENCE, (0.5, 0.5), self.R_EXTENSION,
+                                 grid_m=100)
         if scan["collision_found"]:
             assert scan["min_distance"] > scan["r_extension"]
-
-    def test_radius_certified_for_the_scanned_tuple(self):
-        # A non-reference tuple and weights: the default radius must come
-        # from this tuple's own certificate, not the reference one.
-        tuple_ = ver.reference_tuple(a=3.0, psi=math.pi / 4)
-        p0, theta, gap = (0.3, 0.7), 0.4, 0.5
-        scan = ver.collapse_scan(tuple_, p0, grid_m=40, radii=[1e-6],
-                                 directions=1, theta=theta, gap=gap)
-        want = cert.certify(tuple_, p0, theta, gap).r_extension.value
-        assert scan["r_extension"] == want
-        assert want != cert.certify(REFERENCE, p0, ver.REFERENCE_THETA,
-                                    ver.REFERENCE_GAP).r_extension.value
 
     def test_widened_scan_finds_the_collision_outside_the_polydisc(self):
         # Past the first radius where isolation is lost, a leading left
         # vector can have vanishing mass; that counts as lost isolation.
-        scan = ver.collapse_scan(REFERENCE, (0.5, 0.5), grid_m=201,
-                                 radii=np.geomspace(1e-3, 3.0, 40),
-                                 theta=ver.REFERENCE_THETA,
-                                 gap=ver.REFERENCE_GAP)
+        scan = ver.collapse_scan(REFERENCE, (0.5, 0.5), self.R_EXTENSION,
+                                 grid_m=201,
+                                 radii=np.geomspace(1e-3, 3.0, 40))
         assert scan["collision_found"]
         assert scan["outside_polydisc"]
-
-    def test_radius_needs_theta_and_gap(self):
-        with pytest.raises(ValueError):
-            ver.collapse_scan(REFERENCE, (0.5, 0.5), grid_m=40)
-        with pytest.raises(ValueError):
-            ver.collapse_scan(REFERENCE, (0.5, 0.5), grid_m=40, theta=0.5)
