@@ -13,10 +13,21 @@ real, so the extension at conj(z) is the conjugate of that at z and the
 contour quadrature solves one node of each conjugate pair. The Neumann
 contraction criterion completes the module. SciPy is imported inside the
 functions that use it, so commands that build no operator never load it.
+
+Every eigensolve and the Neumann check's dense solves run with each loaded
+OpenBLAS set to one thread, and the old count is restored after the solve.
+The vectors (m <= 2000) and matrices (300 x 300) are too small for a second
+thread to pay: on a 2-core machine it doubled the CPU time of an ARPACK
+solve without shortening its wall time, and one Neumann check at m = 300
+took 0.55 s wall and 1.1 s CPU on two threads against 0.19 s on one. The
+setting is process-global while a solve runs; lyocert solves from one
+thread.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,6 +40,12 @@ MODULUS_SHELL = 1e-8
 # the second modulus gives rho2 and shows that the leading eigenvalue is
 # simple. Each implicit restart costs more the more pairs are wanted.
 EIG_COUNT = 2
+# Restarts allowed to each ARPACK attempt. The benchmark workloads (seeds
+# 1-3, 5, 91, 92) and the packaged commands converge within 9; where the
+# second and third moduli lie close, SciPy's 20-vector basis takes hundreds
+# to thousands, and the retry on a RETRY_NCV-vector basis takes 4-5.
+ARPACK_MAXITER = 100
+RETRY_NCV = 40
 
 
 class EigenvalueCollisionError(ArithmeticError):
@@ -176,6 +193,65 @@ def assemble_chain_operator(P,
 
 
 # ---------------------------------------------------------------------------
+# One BLAS thread per solve.
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS loaded in the process.
+
+    A NumPy/SciPy wheel install loads two copies, NumPy's 64-bit-integer
+    build and SciPy's own. They are found among the process's mapped files
+    (Linux), and the lookup is cached, so it runs once, at the first solve,
+    when both copies are loaded. Elsewhere it finds none and returns ().
+    """
+    import ctypes
+    import os
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in maps
+                            if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_", "64_"), ("scipy_", ""),
+                               ("", "64_"), ("", "")):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}",
+                          None)
+            set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}",
+                           None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                controls.append((get, set_))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with every loaded OpenBLAS on one thread, then restore.
+
+    The count is process-global: it is 1 for every thread of the process
+    while the body runs, and the old count is back when the body ends or
+    raises. Where no OpenBLAS is found this does nothing.
+    """
+    controls = _openblas_thread_controls()
+    old = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), n in zip(controls, old):
+            set_(n)
+
+
+# ---------------------------------------------------------------------------
 # Eigen extraction.
 
 def _top_eigenvalues(M) -> tuple[np.ndarray, np.ndarray]:
@@ -183,21 +259,43 @@ def _top_eigenvalues(M) -> tuple[np.ndarray, np.ndarray]:
 
     ARPACK on the sparse matrix; the dense LAPACK solve runs only where
     ARPACK cannot (EIG_COUNT >= n - 2) or did not converge, so partial
-    eigenpairs are never used. ARPACK starts from a fixed seeded vector, so repeated
-    solves give the same bits (its own random start changes per call).
+    eigenpairs are never used. ARPACK starts from a fixed seeded vector, so
+    repeated solves give the same bits (its own random start changes per
+    call).
+
+    The first ARPACK attempt keeps SciPy's basis of 20 vectors. Where the
+    second and third moduli lie close, that basis crawls: the reference
+    tuple at m = 201, z = (1/2, 1/2) + 0.8753i (1, -1) took seconds. So each
+    attempt stops after ARPACK_MAXITER restarts, a stalled one is retried
+    once on a basis of RETRY_NCV vectors, which converges there in
+    milliseconds, and only a failed retry falls back to the dense solve.
+
+    Every solve runs on one OpenBLAS thread (_one_blas_thread). On a 2-core
+    machine a complex ARPACK solve on the reference operator took 7.3 ms
+    wall and 15.3 ms CPU on OpenBLAS's default two threads against 6.8 ms
+    and 10.8 ms on one at m = 601, and 10.7 ms and 22.4 ms against 9.8 ms
+    and 9.9 ms at m = 2000. The bits are those of a run under
+    OPENBLAS_NUM_THREADS=1 on any core count; with two threads ARPACK's
+    complex m = 601 solves differ from them in the last bits.
     """
     import scipy.linalg
     import scipy.sparse.linalg
     n = M.shape[0]
-    if EIG_COUNT >= n - 2:
-        vals, vecs = scipy.linalg.eig(M.toarray())
-    else:
-        v0 = np.random.default_rng(0).random(n)
-        try:
-            vals, vecs = scipy.sparse.linalg.eigs(
-                M, k=EIG_COUNT, which="LM", v0=v0, maxiter=5000, tol=1e-12)
-        except scipy.sparse.linalg.ArpackNoConvergence:
+    with _one_blas_thread():
+        if EIG_COUNT >= n - 2:
             vals, vecs = scipy.linalg.eig(M.toarray())
+        else:
+            v0 = np.random.default_rng(0).random(n)
+            for ncv in (None, min(n - 1, RETRY_NCV)):
+                try:
+                    vals, vecs = scipy.sparse.linalg.eigs(
+                        M, k=EIG_COUNT, which="LM", v0=v0, ncv=ncv,
+                        maxiter=ARPACK_MAXITER, tol=1e-12)
+                    break
+                except scipy.sparse.linalg.ArpackNoConvergence:
+                    pass
+            else:
+                vals, vecs = scipy.linalg.eig(M.toarray())
     order = np.argsort(-np.abs(vals))[:EIG_COUNT]
     return vals[order], vecs[:, order]
 
@@ -359,19 +457,22 @@ def neumann_criterion_check(basis: TransferBasis, p0, z, rho_star: float,
 
     zeta runs over contour_nodes points on |zeta - 1| = rho_star; the value
     reports the Neumann-series contraction factor of the perturbed resolvent.
+    The dense solves and 2-norms run on one OpenBLAS thread.
     """
     import scipy.linalg
     M0 = assemble_operator(basis, p0).toarray()
     Dz = assemble_operator(basis, z).toarray() - M0
     m = basis.grid.m
     worst = 0.0
-    for q in range(contour_nodes):
-        zeta = 1.0 + rho_star * np.exp(2j * math.pi * (q + 0.5) / contour_nodes)
-        S = zeta * np.eye(m) - M0
-        try:
-            X = scipy.linalg.solve(S.T, Dz.T).T
-        except scipy.linalg.LinAlgError as exc:
-            raise ResolventSolveError(
-                f"resolvent solve failed at zeta = {zeta}") from exc
-        worst = max(worst, float(np.linalg.norm(X, 2)))
+    with _one_blas_thread():
+        for q in range(contour_nodes):
+            zeta = 1.0 + rho_star * np.exp(
+                2j * math.pi * (q + 0.5) / contour_nodes)
+            S = zeta * np.eye(m) - M0
+            try:
+                X = scipy.linalg.solve(S.T, Dz.T).T
+            except scipy.linalg.LinAlgError as exc:
+                raise ResolventSolveError(
+                    f"resolvent solve failed at zeta = {zeta}") from exc
+            worst = max(worst, float(np.linalg.norm(X, 2)))
     return worst

@@ -317,9 +317,9 @@ class TestEigenExtraction:
 
         calls = []
 
-        def no_convergence(A, k, **kw):
+        def no_convergence(A, k, ncv, maxiter, **kw):
             # Two partial pairs, the second far from any true eigenvalue.
-            calls.append(k)
+            calls.append((k, ncv, maxiter))
             raise scipy.sparse.linalg.ArpackNoConvergence(
                 "no convergence", np.array([1.0, 0.9], dtype=complex),
                 np.ones((A.shape[0], 2), dtype=complex))
@@ -327,8 +327,35 @@ class TestEigenExtraction:
         monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
         rho2, _ = op.spectral_gap_measured(M)
         assert rho2 == pytest.approx(rho2_dense, abs=1e-12)
-        assert calls == [op.EIG_COUNT]
+        # a capped attempt on SciPy's basis, one retry on the wider basis,
+        # then the dense solve
+        assert calls == [(op.EIG_COUNT, None, op.ARPACK_MAXITER),
+                         (op.EIG_COUNT, op.RETRY_NCV, op.ARPACK_MAXITER)]
         assert abs(rho2 - 0.9) > 0.1
+
+    def test_stall_point_converges_on_the_wider_basis(self, monkeypatch):
+        # rho2 and rho3 lie close here (1, 0.6340, 0.6317): SciPy's 20-vector
+        # basis does not converge within ARPACK_MAXITER restarts, the retry
+        # on RETRY_NCV vectors does, and no dense solve runs.
+        M = op.assemble_operator(
+            op.TransferBasis(REFERENCE, op.build_grid(201)),
+            np.array(P0) + 0.8753j * np.array([1.0, -1.0]))
+        dense = np.sort(np.abs(scipy.linalg.eigvals(M.toarray())))[::-1]
+        ncvs = []
+        eigs = scipy.sparse.linalg.eigs
+
+        def recording_eigs(*args, ncv, **kwargs):
+            ncvs.append(ncv)
+            return eigs(*args, ncv=ncv, **kwargs)
+
+        def no_dense(*args, **kwargs):
+            raise AssertionError("dense fallback used")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", recording_eigs)
+        monkeypatch.setattr(scipy.linalg, "eig", no_dense)
+        vals, _ = op._top_eigenvalues(M.T)
+        assert ncvs == [None, op.RETRY_NCV]
+        assert np.max(np.abs(np.abs(vals) - dense[:2])) <= 1e-10
 
     def test_measured_gap_reference(self):
         # Grid divisible by 3 aligns with the pi/3 conjugating rotation:
@@ -519,6 +546,88 @@ class TestHolomorphyChecks:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             op.cr_holomorphy_check(lambda t: t, 0.0, 1.0)
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every loaded OpenBLAS on two threads for the test, then as before."""
+    controls = op._openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded in this process")
+    old = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(2)
+    yield controls
+    for (_, set_), n in zip(controls, old):
+        set_(n)
+
+
+class TestOneBlasThread:
+    M601 = op.assemble_operator(op.TransferBasis(REFERENCE, op.build_grid(601)),
+                                [0.5 + 1e-3j, 0.5 - 1e-3j])
+
+    def _reading(self, monkeypatch, module, name, controls, seen):
+        """Patch module.name to append the thread counts it runs under."""
+        fn = getattr(module, name)
+
+        def reading(*args, **kwargs):
+            seen.append([get() for get, _ in controls])
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, reading)
+
+    def test_solves_run_on_one_thread_and_restore_the_count(
+            self, monkeypatch, two_blas_threads):
+        controls = two_blas_threads
+        seen = []
+        for module, name in ((scipy.sparse.linalg, "eigs"),
+                             (scipy.linalg, "eig"), (scipy.linalg, "solve"),
+                             (np.linalg, "norm")):
+            self._reading(monkeypatch, module, name, controls, seen)
+        op.leading_eigenpair(self.M601)
+        op.leading_eigenpair(csr_array(np.diag([1.0, 0.5, 0.25, 0.1])))
+        op.neumann_criterion_check(BASIS, P0, [0.5 + 1e-4j, 0.5 - 1e-4j],
+                                   rho_star=0.3, contour_nodes=2)
+        # one ARPACK and one dense eigensolve, two solves and two norms
+        assert seen == [[1] * len(controls)] * 6
+        assert [get() for get, _ in controls] == [2] * len(controls)
+
+    def test_count_is_restored_when_the_solve_raises(self, monkeypatch,
+                                                      two_blas_threads):
+        controls = two_blas_threads
+
+        def failing(*args, **kwargs):
+            assert [get() for get, _ in controls] == [1] * len(controls)
+            raise RuntimeError("solver failed")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", failing)
+        with pytest.raises(RuntimeError, match="solver failed"):
+            op.leading_eigenpair(self.M601)
+        assert [get() for get, _ in controls] == [2] * len(controls)
+
+    def test_without_openblas_solves_run_unchanged(self, monkeypatch,
+                                                   two_blas_threads):
+        # At m = 90 OpenBLAS splits no call across threads, so the bits
+        # cannot depend on the count; the empty lookup leaves it at 2.
+        basis = op.TransferBasis(REFERENCE, op.build_grid(90))
+        z = np.array([0.5 + 0.01j, 0.5 - 0.01j])
+
+        def values():
+            M = op.assemble_operator(basis, z)
+            return [op.leading_eigenpair(M)[1],
+                    op.spectral_gap_measured(M)[0],
+                    op.neumann_criterion_check(basis, P0, z, rho_star=0.3,
+                                               contour_nodes=2)]
+
+        scoped = values()
+        monkeypatch.setattr(op, "_openblas_thread_controls", lambda: ())
+        seen = []
+        self._reading(monkeypatch, scipy.sparse.linalg, "eigs",
+                      two_blas_threads, seen)
+        unscoped = values()
+        assert seen == [[2] * len(two_blas_threads)] * 2
+        assert np.array_equal(unscoped[0], scoped[0])
+        assert unscoped[1:] == scoped[1:]
 
 
 class TestNeumannCheck:
