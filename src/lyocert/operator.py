@@ -14,6 +14,12 @@ contour quadrature solves one node of each conjugate pair. The Neumann
 contraction criterion completes the module. SciPy is imported inside the
 functions that use it, so commands that build no operator never load it.
 
+ARPACK iterates on the cube M^3, applied as three CSR products. At these
+sizes (m <= 2000, at most 4 nonzeros per row) an Arnoldi step costs several
+CSR products, so the step count sets the time of a solve, and cubing cuts
+it to a third to a half. M's own values are read back from the Ritz pairs
+and checked against M (see _top_eigenvalues).
+
 Every eigensolve and the Neumann check's dense solves run with each loaded
 OpenBLAS set to one thread, and the old count is restored after the solve.
 The vectors (m <= 2000) and matrices (300 x 300) are too small for a second
@@ -40,12 +46,18 @@ MODULUS_SHELL = 1e-8
 # the second modulus gives rho2 and shows that the leading eigenvalue is
 # simple. Each implicit restart costs more the more pairs are wanted.
 EIG_COUNT = 2
-# Restarts allowed to each ARPACK attempt. The benchmark workloads (seeds
-# 1-3, 5, 91, 92) and the packaged commands converge within 9; where the
-# second and third moduli lie close, SciPy's 20-vector basis takes hundreds
-# to thousands, and the retry on a RETRY_NCV-vector basis takes 4-5.
+# Restarts allowed to each ARPACK attempt. On M^EIG_POWER the benchmark
+# workloads (seeds 1, 5) and the packaged commands converge within 3 (9 on
+# M itself). Where the second and third moduli lie close, SciPy's 20-vector
+# basis took hundreds to thousands on M, and the retry on a RETRY_NCV-vector
+# basis 4-5.
 ARPACK_MAXITER = 100
 RETRY_NCV = 40
+# ARPACK iterates on M^EIG_POWER (see _top_eigenvalues), and a leading pair
+# whose relative residual against M itself exceeds RESIDUAL_BOUND counts as
+# not converged.
+EIG_POWER = 3
+RESIDUAL_BOUND = 1e-10
 
 
 class EigenvalueCollisionError(ArithmeticError):
@@ -263,12 +275,38 @@ def _top_eigenvalues(M) -> tuple[np.ndarray, np.ndarray]:
     repeated solves give the same bits (its own random start changes per
     call).
 
-    The first ARPACK attempt keeps SciPy's basis of 20 vectors. Where the
-    second and third moduli lie close, that basis crawls: the reference
-    tuple at m = 201, z = (1/2, 1/2) + 0.8753i (1, -1) took seconds. So each
-    attempt stops after ARPACK_MAXITER restarts, a stalled one is retried
-    once on a basis of RETRY_NCV vectors, which converges there in
-    milliseconds, and only a failed retry falls back to the dense solve.
+    ARPACK iterates on M^EIG_POWER, applied as EIG_POWER products with M in
+    M's dtype, so real operators stay on its real routines. |mu|^3 grows
+    with |mu|, so the largest-modulus eigenvalues theta of M^3 are the cubes
+    of M's and share their eigenvectors; cubing pushes the rest of the
+    spectrum toward 0, and the leading pair separates in fewer steps: on
+    the reference tuple 55 in place of 158 at m = 601 and 38 in place of
+    124 at m = 2000, for about half the time per solve. An operator whose
+    second modulus is already small (the contour diagonal pair, 21 steps
+    either way) pays for the extra products. M's values are read back in
+    two ways:
+
+    - the leading value is the Rayleigh quotient x^H M x / x^H x of its
+      Ritz vector x, since callers need mu itself and not its cube;
+    - every other modulus is |theta|^(1/3), with the phase of its Ritz
+      vector's Rayleigh quotient. An eigenvalue of modulus |mu| but another
+      phase, e^(2 pi i / 3) mu say, has the same cube, so ARPACK may return
+      vectors that mix the two, whose Rayleigh quotients read below the
+      true modulus; theta cannot hide such a collision.
+
+    The same product gives the leading pair's relative residual
+    ||M x - mu x|| / (|mu| ||x||) against M itself. Above RESIDUAL_BOUND,
+    the attempt counts as not converged (ARPACK's tol of 1e-12 bounds the
+    residual on M^3 only), and the next stage runs. Over the packaged
+    commands and the benchmark workloads the residual was at most 1e-14.
+
+    Each ARPACK attempt stops after ARPACK_MAXITER restarts. A stalled one
+    is retried once on a basis of RETRY_NCV vectors in place of SciPy's 20,
+    and only a failed retry falls back to the dense solve. On M the
+    20-vector basis crawled where the second and third moduli lie close
+    (the reference tuple at m = 201, z = (1/2, 1/2) + 0.8753i (1, -1) took
+    seconds); on M^3 they converge on it in 73-157 steps, and the retry
+    stays as a safety net.
 
     Every solve runs on one OpenBLAS thread (_one_blas_thread). On a 2-core
     machine a complex ARPACK solve on the reference operator took 7.3 ms
@@ -282,20 +320,37 @@ def _top_eigenvalues(M) -> tuple[np.ndarray, np.ndarray]:
     import scipy.sparse.linalg
     n = M.shape[0]
     with _one_blas_thread():
-        if EIG_COUNT >= n - 2:
-            vals, vecs = scipy.linalg.eig(M.toarray())
-        else:
+        if EIG_COUNT < n - 2:
+
+            def apply_power(x):
+                for _ in range(EIG_POWER):
+                    x = M @ x
+                return x
+
+            power = scipy.sparse.linalg.LinearOperator(
+                M.shape, matvec=apply_power, dtype=M.dtype)
             v0 = np.random.default_rng(0).random(n)
             for ncv in (None, min(n - 1, RETRY_NCV)):
                 try:
-                    vals, vecs = scipy.sparse.linalg.eigs(
-                        M, k=EIG_COUNT, which="LM", v0=v0, ncv=ncv,
+                    theta, vecs = scipy.sparse.linalg.eigs(
+                        power, k=EIG_COUNT, which="LM", v0=v0, ncv=ncv,
                         maxiter=ARPACK_MAXITER, tol=1e-12)
-                    break
                 except scipy.sparse.linalg.ArpackNoConvergence:
-                    pass
-            else:
-                vals, vecs = scipy.linalg.eig(M.toarray())
+                    continue
+                order = np.argsort(-np.abs(theta))
+                theta, vecs = theta[order], vecs[:, order]
+                images = M @ vecs
+                squares = np.sum(np.abs(vecs) ** 2, axis=0)
+                rayleigh = np.sum(vecs.conj() * images, axis=0) / squares
+                mu = rayleigh[0]
+                residual = images[:, 0] - mu * vecs[:, 0]
+                if (np.vdot(residual, residual).real
+                        <= (RESIDUAL_BOUND * abs(mu)) ** 2 * squares[0]):
+                    vals = (np.abs(theta) ** (1.0 / EIG_POWER)
+                            * np.exp(1j * np.angle(rayleigh)))
+                    vals[0] = mu
+                    return vals, vecs
+        vals, vecs = scipy.linalg.eig(M.toarray())
     order = np.argsort(-np.abs(vals))[:EIG_COUNT]
     return vals[order], vecs[:, order]
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,10 @@ import lyocert.verification as ver
 
 
 REFERENCE = ver.reference_tuple()
+# diag(8, 1/8) and diag(4, 1/4) fix the angles 0 and pi/2: the leading
+# eigenvalue is double on even grids and simple on odd ones.
+DIAGONAL = geo.MatrixTuple.from_matrices([np.diag([8.0, 0.125]),
+                                          np.diag([4.0, 0.25])])
 P0 = (0.5, 0.5)
 GRID = op.build_grid(200)
 BASIS = op.TransferBasis(REFERENCE, GRID)
@@ -207,11 +212,10 @@ class TestEigenExtraction:
     @pytest.mark.parametrize("m, simple", [(200, False), (601, True)])
     def test_diagonal_pair_is_simple_only_on_odd_grids(self, m, simple,
                                                        monkeypatch):
-        # diag(8, 1/8) and diag(4, 1/4) fix the angles 0 and pi/2. On an
-        # even grid both are nodes, and each carries a stationary measure.
-        T = geo.MatrixTuple.from_matrices([np.diag([8.0, 0.125]),
-                                           np.diag([4.0, 0.25])])
-        M = op.assemble_operator(op.TransferBasis(T, op.build_grid(m)), P0)
+        # On an even grid the fixed angles 0 and pi/2 are both nodes, and
+        # each carries a stationary measure.
+        M = op.assemble_operator(
+            op.TransferBasis(DIAGONAL, op.build_grid(m)), P0)
         calls = []
         eigs = scipy.sparse.linalg.eigs
         monkeypatch.setattr(scipy.sparse.linalg, "eigs",
@@ -226,23 +230,31 @@ class TestEigenExtraction:
 
     @pytest.mark.parametrize("z", [np.array(P0, dtype=complex),
                                    np.array(P0) + 0.1j * np.array([1, -1])])
-    def test_leading_solve_matvec_budget(self, z, monkeypatch):
-        # ARPACK takes 107-124 matvecs here for EIG_COUNT = 2 eigenpairs and
-        # 445-623 for 8; the budget separates the two.
-        matvecs = []
-        eigs = scipy.sparse.linalg.eigs
+    def test_leading_solve_matvec_budget(self, z):
+        # ARPACK iterates on M^3: 38 steps here, so 114 products with M,
+        # and 2 more for the read-back (Rayleigh quotients and residual),
+        # for EIG_COUNT = 2 eigenpairs; 494-500 products for 8. The budget
+        # separates the two.
+        products = []
 
-        def counting_eigs(A, *args, **kwargs):
-            counted = scipy.sparse.linalg.LinearOperator(
-                A.shape, matvec=lambda x: matvecs.append(1) or A @ x,
-                dtype=A.dtype)
-            return eigs(counted, *args, **kwargs)
+        class Counting:
+            """M with a count of the vectors it is applied to."""
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigs", counting_eigs)
+            def __init__(self, A):
+                self.A, self.shape, self.dtype = A, A.shape, A.dtype
+
+            @property
+            def T(self):
+                return Counting(self.A.T)
+
+            def __matmul__(self, x):
+                products.append(1 if x.ndim == 1 else x.shape[1])
+                return self.A @ x
+
         M = op.assemble_operator(
             op.TransferBasis(REFERENCE, op.build_grid(2000)), z)
-        op.leading_eigenpair(M)
-        assert 0 < len(matvecs) <= 250
+        op.leading_eigenpair(Counting(M))
+        assert 0 < sum(products) <= 250
 
     def test_no_collision_for_conjugate_subleading_pair(self):
         # A complex-conjugate pair strictly inside the unit disc is fine.
@@ -250,56 +262,90 @@ class TestEigenExtraction:
         mu, _ = op.leading_eigenpair(csr_array(D))
         assert mu == pytest.approx(1.0)
 
-    def test_sparse_solve_matches_dense(self, monkeypatch):
+    # The diagonal pair has rho2 = 0.039, so theta2 = rho2^3 = 6e-5 on M^3,
+    # and the cube root turns ARPACK's accuracy on theta2 into an error in
+    # rho2 larger by 1 / (3 rho2^2), about 220: 1.5e-11 was measured.
+    @pytest.mark.parametrize("T, m, rho2_tol", [(REFERENCE, 90, 1e-12),
+                                                (REFERENCE, 91, 1e-12),
+                                                (DIAGONAL, 601, 1e-10)],
+                             ids=["reference-90", "reference-91",
+                                  "diagonal-601"])
+    def test_sparse_solve_matches_dense(self, T, m, rho2_tol, monkeypatch):
         # ARPACK on the CSR operator against LAPACK on the same operator
-        # densified, through every public value built on the eigensolve.
-        basis = op.TransferBasis(REFERENCE, op.build_grid(90))
+        # densified: mu, eta (mass 1) and rho2 at real and complex weights,
+        # at twists of +-1e-3 and for the chain block operator, and every
+        # public value built on them, on even and odd grids and on the
+        # diagonal pair, whose second eigenvalue is double and whose null
+        # space is large.
+        basis = op.TransferBasis(T, op.build_grid(m))
         z = np.array([0.5 + 0.01j, 0.5 - 0.01j])
         P = [[0.7, 0.3], [0.4, 0.6]]
+        operators = {
+            "real": lambda: op.assemble_operator(basis, P0),
+            "complex": lambda: op.assemble_operator(basis, z),
+            "twist+": lambda: op.assemble_operator(basis, P0, twist=1e-3),
+            "twist-": lambda: op.assemble_operator(basis, P0, twist=-1e-3),
+            "chain": lambda: op.assemble_chain_operator(P, basis),
+        }
 
         def values():
-            M = op.assemble_operator(basis, P0)
-            return [op.leading_eigenpair(M)[0],
-                    op.spectral_gap_measured(M)[0],
-                    op.analytic_extension_value(basis, P0),
-                    op.analytic_extension_value(basis, z),
-                    op.chain_extension_value(P, basis)]
+            pairs = {}
+            for name, assemble in operators.items():
+                M = assemble()
+                mu, eta = op.leading_eigenpair(M)
+                pairs[name] = mu, eta, op.spectral_gap_measured(M)[0]
+            public = [op.analytic_extension_value(basis, P0),
+                      op.analytic_extension_value(basis, z),
+                      op.lyapunov_via_log_deriv(basis, P0),
+                      op.chain_extension_value(P, basis)]
+            return pairs, public
 
         calls = []
         eigs = scipy.sparse.linalg.eigs
         monkeypatch.setattr(scipy.sparse.linalg, "eigs",
                             lambda *a, **kw: calls.append(1) or eigs(*a, **kw))
-        sparse = values()
+        sparse, sparse_public = values()
         # One solve per value; a repeat gives the same bits, since ARPACK
         # starts from a fixed vector.
-        assert values() == sparse
-        assert len(calls) == 10
+        pairs, public = values()
+        assert public == sparse_public
+        for name, (mu, eta, rho2) in pairs.items():
+            assert (mu, rho2) == sparse[name][::2]
+            assert np.array_equal(eta, sparse[name][1])
+        assert len(calls) == 2 * (2 * len(operators) + 5)
 
         def dense_top(M):
-            vals, vecs = scipy.linalg.eig(M.toarray())
+            with op._one_blas_thread():
+                vals, vecs = scipy.linalg.eig(M.toarray())
             order = np.argsort(-np.abs(vals))[:op.EIG_COUNT]
             return vals[order], vecs[:, order]
 
         monkeypatch.setattr(op, "_top_eigenvalues", dense_top)
-        dense = values()
-        assert np.max(np.abs(np.subtract(sparse, dense))) <= 1e-12
+        pairs, public = values()
+        for name, (mu, eta, rho2) in pairs.items():
+            assert abs(mu - sparse[name][0]) <= 1e-12, name
+            assert np.max(np.abs(eta - sparse[name][1])) <= 1e-12, name
+            assert abs(rho2 - sparse[name][2]) <= rho2_tol, name
+        assert np.max(np.abs(np.subtract(public, sparse_public))) <= 1e-12
 
     @pytest.mark.parametrize("m", [200, 201, 600, 601])
     @pytest.mark.parametrize("p", [(0.5, 0.5), (0.35, 0.65)])
     def test_real_arithmetic_matches_complex(self, p, m, monkeypatch):
         # Real weights give a float64 operator, solved by ARPACK's real
         # routines; the same matrix cast to complex goes through its complex
-        # ones. mu, eta (mass 1), rho2 and the chain value agree.
+        # ones. mu, eta (mass 1), rho2 and the chain value agree, untwisted
+        # and at twists of +-1e-3.
         basis = op.TransferBasis(REFERENCE, op.build_grid(m))
-        M = op.assemble_operator(basis, p)
-        assert M.dtype == np.float64
-        Mc = M.astype(complex)
-        mu, eta = op.leading_eigenpair(M)
-        mu_c, eta_c = op.leading_eigenpair(Mc)
-        assert abs(mu - mu_c) <= 1e-12
-        assert np.max(np.abs(eta - eta_c)) <= 1e-12
-        rho2 = op.spectral_gap_measured(M)[0]
-        assert abs(rho2 - op.spectral_gap_measured(Mc)[0]) <= 1e-12
+        for twist in (0.0, 1e-3, -1e-3):
+            M = op.assemble_operator(basis, p, twist=twist)
+            assert M.dtype == np.float64
+            Mc = M.astype(complex)
+            mu, eta = op.leading_eigenpair(M)
+            mu_c, eta_c = op.leading_eigenpair(Mc)
+            assert abs(mu - mu_c) <= 1e-12
+            assert np.max(np.abs(eta - eta_c)) <= 1e-12
+            rho2 = op.spectral_gap_measured(M)[0]
+            assert abs(rho2 - op.spectral_gap_measured(Mc)[0]) <= 1e-12
 
         P = [[0.7, 0.3], [0.4, 0.6]]
         real_value = op.chain_extension_value(P, basis)
@@ -333,14 +379,19 @@ class TestEigenExtraction:
                          (op.EIG_COUNT, op.RETRY_NCV, op.ARPACK_MAXITER)]
         assert abs(rho2 - 0.9) > 0.1
 
-    def test_stall_point_converges_on_the_wider_basis(self, monkeypatch):
-        # rho2 and rho3 lie close here (1, 0.6340, 0.6317): SciPy's 20-vector
-        # basis does not converge within ARPACK_MAXITER restarts, the retry
-        # on RETRY_NCV vectors does, and no dense solve runs.
+    @pytest.mark.parametrize("m, t", [(201, 0.8753), (601, 0.5),
+                                      (601, 0.8753)])
+    def test_stall_point_converges_without_the_dense_solve(
+            self, m, t, monkeypatch, record_property):
+        # rho2 and rho3 lie close here (1, 0.6340, 0.6317 at m = 201): on M
+        # SciPy's 20-vector basis did not converge within ARPACK_MAXITER
+        # restarts. On M^3 it converges in 73-157 steps; the retry on
+        # RETRY_NCV vectors stays as a safety net. No dense solve runs.
         M = op.assemble_operator(
-            op.TransferBasis(REFERENCE, op.build_grid(201)),
-            np.array(P0) + 0.8753j * np.array([1.0, -1.0]))
-        dense = np.sort(np.abs(scipy.linalg.eigvals(M.toarray())))[::-1]
+            op.TransferBasis(REFERENCE, op.build_grid(m)),
+            np.array(P0) + t * 1j * np.array([1.0, -1.0]))
+        with op._one_blas_thread():
+            dense = np.sort(np.abs(scipy.linalg.eigvals(M.toarray())))[::-1]
         ncvs = []
         eigs = scipy.sparse.linalg.eigs
 
@@ -354,8 +405,55 @@ class TestEigenExtraction:
         monkeypatch.setattr(scipy.sparse.linalg, "eigs", recording_eigs)
         monkeypatch.setattr(scipy.linalg, "eig", no_dense)
         vals, _ = op._top_eigenvalues(M.T)
-        assert ncvs == [None, op.RETRY_NCV]
+        record_property("converged_ncv", ncvs[-1])
         assert np.max(np.abs(np.abs(vals) - dense[:2])) <= 1e-10
+
+    @pytest.mark.parametrize("rho2, collides", [(1.0, True),
+                                                (1.0 - 1e-6, False)])
+    def test_collision_hidden_in_the_cube_is_detected(self, rho2, collides):
+        # 1 and rho2 e^(2 pi i / 3) have cubes of equal or nearly equal
+        # modulus and phase. ARPACK on M^3 may mix their eigenvectors, so a
+        # Rayleigh quotient can read the second modulus low; the collision
+        # is still reported, and the near collision is not.
+        rng = np.random.default_rng(1)
+        rest = 0.6 * np.sqrt(rng.random(298)) * np.exp(
+            2j * math.pi * rng.random(298))
+        M = scipy.sparse.diags(np.concatenate(
+            [[1.0, rho2 * np.exp(2j * math.pi / 3)], rest])).tocsr()
+        if collides:
+            with pytest.raises(op.EigenvalueCollisionError):
+                op.leading_eigenpair(M)
+        else:
+            mu, eta = op.leading_eigenpair(M)
+            assert abs(mu - 1.0) <= 1e-12
+            assert abs(eta[0] - 1.0) <= 1e-12
+            assert op.spectral_gap_measured(M)[0] == pytest.approx(
+                rho2, abs=1e-10)
+
+    def test_wrong_leading_vector_goes_to_the_next_stage(self, monkeypatch):
+        # An eigs that reports convergence but returns a wrong leading
+        # vector: the residual against M rejects it, the retry runs, and
+        # the caller gets the true pair.
+        M = op.assemble_operator(BASIS, [0.5 + 1e-3j, 0.5 - 1e-3j])
+        with op._one_blas_thread():
+            vals, vecs = scipy.linalg.eig(M.toarray().T)
+        lead = np.argmax(np.abs(vals))
+        true_eta = vecs[:, lead] / vecs[:, lead].sum()
+        ncvs = []
+        eigs = scipy.sparse.linalg.eigs
+
+        def corrupting_eigs(*args, ncv, **kwargs):
+            ncvs.append(ncv)
+            theta, x = eigs(*args, ncv=ncv, **kwargs)
+            if ncv is None:
+                x[:, np.argmax(np.abs(theta))] += 1e-6
+            return theta, x
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", corrupting_eigs)
+        mu, eta = op.leading_eigenpair(M)
+        assert ncvs == [None, op.RETRY_NCV]
+        assert abs(mu - vals[lead]) <= 1e-12
+        assert np.max(np.abs(eta - true_eta)) <= 1e-12
 
     def test_measured_gap_reference(self):
         # Grid divisible by 3 aligns with the pi/3 conjugating rotation:
