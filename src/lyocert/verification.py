@@ -250,6 +250,16 @@ def boundary_scan(tuple_: MatrixTuple, theta: float, mc: dict,
 # Markov-to-iid reduction and partial-sum consistency. The second Monte
 # Carlo estimate of each check takes the settings mc with seed + 1.
 
+def _stderr_check(report, name, diff, tol, detail, seed):
+    """diff against tol, 3 combined standard errors. A tolerance that is
+    not finite (one trial gives no spread to take a standard error from)
+    would pass any diff, so the check fails and its detail says why."""
+    if not math.isfinite(tol):
+        detail = f"standard error not finite (needs mc.trials >= 2); {detail}"
+    _check(report, name, diff <= tol < math.inf, diff, 0.0,
+           f"3 combined stderr = {tol:.3g}", detail, seed)
+
+
 def markov_iid_reduction_check(basis: top.TransferBasis, p,
                                mc: dict) -> VerificationReport:
     """A chain with identical rows p must reproduce the iid cocycle, on the
@@ -268,12 +278,10 @@ def markov_iid_reduction_check(basis: top.TransferBasis, p,
     l_iid, se_iid = estimate_top_exponent(iid_spec, **mc)
     l_chain, se_chain = estimate_markov_exponent(
         chain_spec, **{**mc, "seed": mc["seed"] + 1})
-    tol = 3.0 * (se_iid + se_chain)
-    diff = abs(l_iid - l_chain)
-    _check(report, "markov_iid.monte_carlo", diff <= tol, diff, 0.0,
-           f"3 combined stderr = {tol:.3g}",
-           f"iid {l_iid:.6f}+-{se_iid:.2g}, "
-           f"chain {l_chain:.6f}+-{se_chain:.2g}", mc["seed"])
+    _stderr_check(report, "markov_iid.monte_carlo", abs(l_iid - l_chain),
+                  3.0 * (se_iid + se_chain),
+                  f"iid {l_iid:.6f}+-{se_iid:.2g}, "
+                  f"chain {l_chain:.6f}+-{se_chain:.2g}", mc["seed"])
     return report
 
 
@@ -286,11 +294,9 @@ def partial_sum_consistency(tuple_: MatrixTuple, p, k: int,
     spectrum = estimate_spectrum(spec, **{**mc, "seed": mc["seed"] + 1})
     summed = float(np.sum(spectrum.exponents[:k]))
     se_s = float(np.sum(spectrum.standard_errors[:k]))
-    tol = 3.0 * (se_p + se_s)
-    diff = abs(partial - summed)
-    _check(report, f"partial_sum.k{k}", diff <= tol, diff, 0.0,
-           f"3 combined stderr = {tol:.3g}",
-           f"partial {partial:.6f}, summed {summed:.6f}", mc["seed"])
+    _stderr_check(report, f"partial_sum.k{k}", abs(partial - summed),
+                  3.0 * (se_p + se_s),
+                  f"partial {partial:.6f}, summed {summed:.6f}", mc["seed"])
     return report
 
 
@@ -524,6 +530,26 @@ def _grid_holder_seminorm(f: np.ndarray, theta: float) -> np.ndarray:
     return out
 
 
+def _trig_test_functions(rng: np.random.Generator, angles: np.ndarray,
+                         count: int) -> np.ndarray:
+    """(count, m) random trigonometric polynomials on the grid angles.
+
+    Function j draws three frequencies f in 1..5, then a (3, 2) block of
+    normal coefficients, and is sum_l c_l0 cos(2 f_l angles) +
+    c_l1 sin(2 f_l angles), the terms added in order l = 0, 1, 2.
+    """
+    freqs = np.empty((count, 3), dtype=np.int64)
+    coefs = np.empty((count, 3, 2))
+    for j in range(count):
+        freqs[j] = rng.integers(1, 6, size=3)
+        coefs[j] = rng.standard_normal((3, 2))
+    # frequencies 1..5 take five phases: evaluate each once
+    phase = 2 * np.arange(6)[:, None] * angles
+    cos, sin = np.cos(phase), np.sin(phase)
+    return sum(coefs[:, l, :1] * cos[freqs[:, l]]
+               + coefs[:, l, 1:] * sin[freqs[:, l]] for l in range(3))
+
+
 def holder_operator_norm_check(basis: top.TransferBasis, theta: float,
                                functions: int = 200, seed: int = 2,
                                slack: float = 0.05) -> VerificationReport:
@@ -544,14 +570,7 @@ def holder_operator_norm_check(basis: top.TransferBasis, theta: float,
     violations = 0
     for i, T in enumerate(basis.blocks):
         bound = 1.0 + tuple_.eccentricities[i] ** (2.0 * theta) + slack
-        F = []
-        for _ in range(functions // tuple_.N + 1):
-            freqs = rng.integers(1, 6, size=3)
-            coefs = rng.standard_normal((3, 2))
-            F.append(sum(c[0] * np.cos(2 * fq * angles)
-                         + c[1] * np.sin(2 * fq * angles)
-                         for fq, c in zip(freqs, coefs)))
-        F = np.array(F)
+        F = _trig_test_functions(rng, angles, functions // tuple_.N + 1)
         nf = holder_norm(F)
         kept = nf >= 1e-12
         ratio = holder_norm((T @ F[kept].T).T) / nf[kept]

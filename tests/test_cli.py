@@ -952,6 +952,25 @@ class TestOtherCommands:
         assert code == cli.EXIT_OK
         assert len(calls) == solves
 
+    def test_verify_fails_a_monte_carlo_check_without_a_stderr(
+            self, tmp_path, reference_cfg):
+        # one trial has no spread: a tolerance of 3 stderr = inf would pass
+        # any difference
+        cfg = copy.deepcopy(reference_cfg)
+        cfg["mc"] = {"steps": 300, "trials": 1, "seed": 5, "burnin": 100}
+        path = tmp_path / "one_trial.json"
+        path.write_text(json.dumps(cfg))
+        code, report = run_json(["verify", "--fast", "--config", str(path)],
+                                tmp_path)
+        assert code == cli.EXIT_VERIFICATION
+        record, = [c for c in report["checks"]
+                   if c["name"] == "markov_iid.monte_carlo"]
+        assert record["status"] == "fail"
+        assert record["tolerance"] == "3 combined stderr = inf"
+        assert record["detail"].startswith("standard error not finite")
+        assert [c["name"] for c in report["checks"]
+                if c["status"] == "fail"] == ["markov_iid.monte_carlo"]
+
     def test_verify_fast_on_d3_skips_the_operator_checks(
             self, tmp_path, reference_cfg):
         cfg = copy.deepcopy(reference_cfg)

@@ -34,9 +34,10 @@ def _frame_trial_reference(matrices, idx, rng, steps, burnin, n_vectors):
     d = matrices[0].shape[0]
     frame = np.linalg.qr(rng.standard_normal((d, n_vectors)))[0]
     logs = np.zeros(n_vectors)
+    interval = orc.block_length(np.array(matrices), n_vectors)
     t, total = 0, burnin + steps
     while t < total:
-        block = min(orc.RENORM_INTERVAL, total - t)
+        block = min(interval, total - t)
         if t < burnin:
             block = min(block, burnin - t)
         for s in range(block):
@@ -76,10 +77,31 @@ def _three_state_chain_with_a_zero_transition():
     return orc.CocycleSpec(kind="markov", tuple=T, transition=P)
 
 
+def _eight_matrix_tuple():
+    # (8 + 1)^4 words exceed WORD_TABLE_LIMIT: blocks take words of 2 steps
+    rng = np.random.default_rng(5)
+    return geo.MatrixTuple.from_matrices(
+        [geo.sample_matrix(rng, 2) for _ in range(8)])
+
+
+def _six_step_d3_tuple():
+    # singular values (8, 1, 1/8): 64^6 <= 1e12 < 64^7, so frames renormalize
+    # every 6 steps, which words of 3 steps divide but words of 4 do not
+    rng = np.random.default_rng(6)
+    mats = []
+    for _ in range(2):
+        q1 = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        q2 = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+        mats.append(q1 @ np.diag([8.0, 1.0, 0.125]) @ q2)
+    return geo.MatrixTuple.from_matrices(mats)
+
+
 @pytest.mark.parametrize("case", ["iid_top", "markov_top", "d3_spectrum",
                                   "partial_sum", "markov_zero_transition",
                                   "no_burnin", "burnin_on_block_edge",
-                                  "steps_below_block"])
+                                  "steps_below_block", "eight_matrices",
+                                  "d3_six_step_frame", "ill_conditioned_top",
+                                  "ill_conditioned_frame"])
 def test_batched_trials_match_per_trial_loop(case):
     # burn-in not a multiple of RENORM_INTERVAL, so a short block occurs
     steps, burnin = 1500, 250
@@ -95,6 +117,20 @@ def test_batched_trials_match_per_trial_loop(case):
     elif case == "partial_sum":
         spec, n_vectors = orc.CocycleSpec.iid(_d3_tuple(), (0.3, 0.7)), 1
         mats = [geo.exterior_power(m, 2) for m in spec.tuple.matrices]
+    elif case == "eight_matrices":
+        spec = orc.CocycleSpec.iid(_eight_matrix_tuple(), np.full(8, 0.125))
+        n_vectors, mats = 1, spec.tuple.matrices
+        assert orc._word_length(16, 9) == 2
+    elif case == "d3_six_step_frame":
+        spec, n_vectors = orc.CocycleSpec.iid(_six_step_d3_tuple(),
+                                              (0.3, 0.7)), 3
+        mats = spec.tuple.matrices
+        assert orc.block_length(np.array(mats), 3) == 6
+        assert orc._word_length(6, 3) == 3
+    elif case.startswith("ill_conditioned"):
+        spec = orc.CocycleSpec.iid(_ill_conditioned_d3_tuple(), (0.4, 0.6))
+        n_vectors = 1 if case.endswith("top") else 3
+        mats = spec.tuple.matrices
     elif case == "markov_zero_transition":
         spec, n_vectors = _three_state_chain_with_a_zero_transition(), 2
         mats = spec.tuple.matrices
@@ -115,7 +151,28 @@ def test_batched_trials_match_per_trial_loop(case):
     got = orc._run_trials(*args, np.array(mats))
     want = _run_trials_reference(*args, mats)
     assert got.shape == want.shape == (5, n_vectors)
-    assert np.max(np.abs(got - want)) <= 1e-12
+    tol = np.full(n_vectors, 1e-12)
+    if case in ("d3_six_step_frame", "ill_conditioned_frame"):
+        # These frames renormalize every 6 and 2 steps, with block products
+        # of condition number up to 7e10 and 1e8, which amplifies the
+        # rounding of any product order into the lower exponents: the
+        # loop's step-by-step order and a batched block product (of words
+        # of any length, 1 included) differ there by up to 6e-10. A
+        # misplaced step moves them by far more than 1e-8.
+        tol[1:] = 1e-8
+    assert np.all(np.max(np.abs(got - want), axis=0) <= tol)
+
+
+@pytest.mark.parametrize("n", [1, 15, 16, 17, 1750])
+def test_chain_indices_match_per_step_loop(n):
+    # lengths below, on and past a multiple of CHAIN_SEGMENT
+    spec = _three_state_chain_with_a_zero_transition()
+    rngs = [orc._trial_rng(3, trial) for trial in range(4)]
+    idx = orc._draw_indices(spec, rngs, n)
+    assert idx.shape == (4, n)
+    for trial, row in enumerate(idx):
+        assert row.tolist() == _draw_indices_reference(
+            spec, orc._trial_rng(3, trial), n)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -244,6 +301,18 @@ class TestTopExponent:
                                             seed=0)
         assert lam == pytest.approx(0.472, abs=0.01)
         assert se < 0.01
+
+    def test_standard_errors_are_calibrated(self):
+        # z-scores of 40 seeds against the transfer-operator value
+        # (lyapunov_via_log_deriv at m = 2000; it moves by 9e-7 from m =
+        # 1000, against a stderr near 7e-4): at most 2 beyond 3, and a mean
+        # square near 1, so the stderr is neither too small nor too large
+        spec = orc.CocycleSpec.iid(REFERENCE, (0.5, 0.5))
+        z = np.array([(lam - 0.4720039436) / se for lam, se in (
+            orc.estimate_top_exponent(spec, steps=4000, trials=16, seed=seed,
+                                      burnin=1000) for seed in range(40))])
+        assert np.count_nonzero(np.abs(z) > 3.0) <= 2
+        assert 0.5 <= np.mean(z ** 2) <= 2.0
 
     def test_rejects_bad_parameters(self):
         spec = orc.CocycleSpec.iid(REFERENCE, (0.5, 0.5))

@@ -233,6 +233,27 @@ def test_stacked_transfer_norm_check_matches_per_function_loop():
         == "worst ratio/bound 0.351297"
 
 
+@pytest.mark.parametrize("grid_m, count", [(601, 101), (200, 7)])
+def test_trig_test_functions_match_per_function_loop(grid_m, count):
+    # same draws in the same order, each function's terms summed in order:
+    # the stacked functions equal the loop's bit for bit
+    angles = top.build_grid(grid_m).angles
+    rng = np.random.default_rng(2)
+    want = []
+    for _ in range(count):
+        freqs = rng.integers(1, 6, size=3)
+        coefs = rng.standard_normal((3, 2))
+        want.append(sum(c[0] * np.cos(2 * fq * angles)
+                        + c[1] * np.sin(2 * fq * angles)
+                        for fq, c in zip(freqs, coefs)))
+    want = np.array(want)
+    other = np.random.default_rng(2)
+    got = ver._trig_test_functions(other, angles, count)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert other.random() == rng.random()  # the streams end in step
+
+
 def test_batched_exterior_norm_check_matches_per_sample_loop():
     # 1500 samples span a full and a partial block, each drawn with two
     # generator calls; g = R1 diag(s) R2 has the drawn s as singular values.
@@ -291,6 +312,24 @@ class TestConsistencyChecks:
             top.TransferBasis(REFERENCE, top.build_grid(200)), (0.5, 0.5),
             {"steps": 8000, "trials": 8, "seed": 0, "burnin": 1000})
         assert rep.passed
+
+    def test_one_trial_fails_for_want_of_a_stderr(self):
+        mc = {"steps": 400, "trials": 1, "seed": 0, "burnin": 100}
+        rng = np.random.default_rng(2)
+        T = geo.MatrixTuple.from_matrices(
+            [geo.sample_matrix(rng, 3) for _ in range(2)])
+        reports = [
+            ver.partial_sum_consistency(T, (0.5, 0.5), 2, mc),
+            ver.markov_iid_reduction_check(
+                top.TransferBasis(REFERENCE, top.build_grid(60)),
+                (0.5, 0.5), mc)]
+        for rep in reports:
+            record = rep.checks[-1]
+            assert not rep.passed
+            assert record.status == "fail"
+            assert record.tolerance == "3 combined stderr = inf"
+            assert record.detail.startswith(
+                "standard error not finite (needs mc.trials >= 2); ")
 
     def test_cauchy_dominance_small(self):
         rep = cert.certify(REFERENCE, (0.5, 0.5), 0.5, 0.26)
