@@ -64,7 +64,7 @@ CONFIG_SCHEMA = {
             "type": "object", "additionalProperties": False, "default": {},
             "properties": {
                 "steps": {"type": "integer", "minimum": 1, "default": 20_000},
-                "trials": {"type": "integer", "minimum": 1, "default": 12},
+                "trials": {"type": "integer", "minimum": 2, "default": 12},
                 "seed": {"type": "integer", "minimum": 0, "default": 0},
                 "burnin": {"type": "integer", "minimum": 0,
                            "default": DEFAULT_BURNIN},

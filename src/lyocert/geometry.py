@@ -9,6 +9,7 @@ minors), measured by wedge_distance.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -89,11 +90,43 @@ def _lex_subsets(d: int, k: int):
     return list(itertools.combinations(range(d), k))
 
 
+@functools.lru_cache(maxsize=None)
+def _expansion_tables(d: int, k: int):
+    """Flat gather indices of the expansion of the k x k minors of a d x d
+    matrix along their first row, one pair per t < k: into g, the entry
+    (I[0], J[t]), and into the (k-1)-minors, the pair (I without I[0],
+    J without J[t]), both over the lex-ordered k-subsets I, J. Cached
+    per (d, k) and read-only."""
+    subsets = _lex_subsets(d, k)
+    lower = {s: i for i, s in enumerate(_lex_subsets(d, k - 1))}
+    rows = np.array([s[0] for s in subsets])[:, None]
+    rest = np.array([lower[s[1:]] for s in subsets])[:, None]
+    tables = []
+    for t in range(k):
+        cols = np.array([s[t] for s in subsets])[None, :]
+        drop = np.array([lower[s[:t] + s[t + 1:]] for s in subsets])[None, :]
+        tables.append((rows * d + cols, rest * len(lower) + drop))
+    for table in tables:
+        for index in table:
+            index.setflags(write=False)
+    return tuple(tables)
+
+
 def exterior_power(g, k: int) -> np.ndarray:
     """Matrix of the k-th exterior power in the lexicographic wedge basis.
 
     Entry (I, J) is the k x k minor det(g[I, J]) with I, J sorted index
     tuples; this fixes all sign conventions. g may be a stack (..., d, d).
+
+    The j-minors come from the (j-1)-minors, j = 1..k, starting from the
+    empty minor 1, by expansion along the first row: det g[I, J] =
+    sum_t (-1)^t g[I[0], J[t]] det g[I - I[0], J - J[t]], the terms added
+    in order t = 0..j-1, elementwise, so a matrix of a stack gets the bits
+    it gets on its own. Each minor is then within about
+    (k (k + 1) / 2) eps perm|g[I, J]| <= (k (k + 1) / 2) eps k^(k/2)
+    prod_(i in I) ||g[i, J]||_2 of the exact one (eps = 2^-53; the
+    permanent bounds the expansion taken in absolute values, and each row
+    has 1-norm <= sqrt(k) times its 2-norm).
     """
     g = np.asarray(g, dtype=float)
     if g.ndim < 2 or g.shape[-1] != g.shape[-2]:
@@ -101,8 +134,23 @@ def exterior_power(g, k: int) -> np.ndarray:
     d = g.shape[-1]
     if not 1 <= k <= d:
         raise ValueError(f"k = {k} out of range for d = {d}")
-    sub = np.array(_lex_subsets(d, k))
-    return np.linalg.det(g[..., sub[:, None, :, None], sub[None, :, None, :]])
+    flat = g.reshape(g.shape[:-2] + (d * d,))
+    minors = np.ones(g.shape[:-2] + (1,))
+    for j in range(1, k + 1):
+        out = 0.0
+        for t, (entry, minor) in enumerate(_expansion_tables(d, j)):
+            term = (np.take(flat, entry, axis=-1)
+                    * np.take(minors, minor, axis=-1))
+            out = out - term if t % 2 else out + term
+        minors = out.reshape(out.shape[:-2] + (-1,))
+    return out
+
+
+def _length(x, y, z) -> np.ndarray:
+    """Euclidean length of the vectors with coordinates x, y, z: the sum
+    (x^2 + y^2) + z^2 in the order np.linalg.norm takes over an axis of
+    length 3, so the bits match its."""
+    return np.sqrt((x * x + y * y) + z * z)
 
 
 def unit_wedge(basis) -> np.ndarray:
@@ -121,20 +169,18 @@ def unit_wedge(basis) -> np.ndarray:
         raise ValueError(f"expected planes in R^3 as (..., 3, 2), "
                          f"got shape {basis.shape}")
     (a0, b0), (a1, b1), (a2, b2) = np.moveaxis(basis, (-2, -1), (0, 1))
-    w = np.stack([a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a1 * b2 - a2 * b1],
-                 axis=-1)
-    norm = np.linalg.norm(w, axis=-1, keepdims=True)
-    lengths = np.prod(np.linalg.norm(basis, axis=-2), axis=-1)
-    if not np.all(norm[..., 0] > 1e-12 * lengths):
+    w = (a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a1 * b2 - a2 * b1)
+    norm = _length(*w)
+    if not np.all(norm > 1e-12 * (_length(a0, a1, a2) * _length(b0, b1, b2))):
         raise ValueError("basis vectors are linearly dependent")
-    return w / norm
+    return np.stack(w, axis=-1) / norm[..., None]
 
 
 def wedge_distance(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Chordal Fubini-Study distance on the Grassmannian: min_sign
     ||v -/+ w|| over the last axis of two stacks of unit wedges."""
-    return np.minimum(np.linalg.norm(v - w, axis=-1),
-                      np.linalg.norm(v + w, axis=-1))
+    return np.minimum(_length(*np.moveaxis(v - w, -1, 0)),
+                      _length(*np.moveaxis(v + w, -1, 0)))
 
 
 # ---------------------------------------------------------------------------

@@ -122,11 +122,25 @@ def _trial_rng(seed: int, trial: int) -> np.random.Generator:
 
 def _draw_indices(spec: CocycleSpec, rngs, n: int) -> np.ndarray:
     """(len(rngs), n) driving index sequences, row r drawn from rngs[r]
-    (chain started from pi(P)), in the smallest dtype that holds N - 1."""
+    (chain started from pi(P)), in the smallest dtype that holds N - 1.
+
+    An i.i.d. row takes rngs[r].random(n) and counts, for each uniform u,
+    the cut points c <= u of the cdf cumsum(w) / cumsum(w)[-1] without its
+    last entry: the cdf and the search (side "right") of
+    Generator.choice(N, size=n, p=w), so the rows and the streams after
+    them are those of one choice call per row, in N - 1 passes.
+    """
     dtype = np.min_scalar_type(spec.tuple.N - 1)
     if spec.kind == "iid":
-        return np.array([rng.choice(spec.tuple.N, size=n, p=spec.weights)
-                         for rng in rngs], dtype=dtype)
+        cdf = np.cumsum(spec.weights)
+        cdf /= cdf[-1]
+        u = np.empty((len(rngs), n))
+        for r, rng in enumerate(rngs):
+            rng.random(out=u[r])
+        idx = np.zeros(u.shape, dtype=dtype)
+        for c in cdf[:-1]:
+            idx += u >= c
+        return idx
     P = spec.transition
     cum = np.cumsum(P, axis=1)
     # Rows sum to 1 only within 1e-12; a u above a row's last partial sum

@@ -953,23 +953,23 @@ class TestOtherCommands:
         assert len(calls) == solves
 
     def test_verify_fails_a_monte_carlo_check_without_a_stderr(
-            self, tmp_path, reference_cfg):
-        # one trial has no spread: a tolerance of 3 stderr = inf would pass
-        # any difference
+            self, tmp_path, reference_cfg, capsys):
+        # one trial has no spread, so no standard error: a tolerance of
+        # 3 stderr = inf would pass any difference, and estimate and
+        # scan-boundary would print every stderr as inf. The schema asks
+        # for two trials, so each command stops at the config.
         cfg = copy.deepcopy(reference_cfg)
         cfg["mc"] = {"steps": 300, "trials": 1, "seed": 5, "burnin": 100}
         path = tmp_path / "one_trial.json"
         path.write_text(json.dumps(cfg))
-        code, report = run_json(["verify", "--fast", "--config", str(path)],
-                                tmp_path)
-        assert code == cli.EXIT_VERIFICATION
-        record, = [c for c in report["checks"]
-                   if c["name"] == "markov_iid.monte_carlo"]
-        assert record["status"] == "fail"
-        assert record["tolerance"] == "3 combined stderr = inf"
-        assert record["detail"].startswith("standard error not finite")
-        assert [c["name"] for c in report["checks"]
-                if c["status"] == "fail"] == ["markov_iid.monte_carlo"]
+        for command in (["verify", "--fast"], ["estimate"],
+                        ["scan-boundary"]):
+            code, report = run_json(command + ["--config", str(path)],
+                                    tmp_path)
+            assert (code, report) == (cli.EXIT_CONFIG, None)
+            assert capsys.readouterr().err == (
+                "error: config invalid at $.mc.trials: 1 is less than the "
+                "minimum of 2\n")
 
     def test_verify_fast_on_d3_skips_the_operator_checks(
             self, tmp_path, reference_cfg):

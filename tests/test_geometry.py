@@ -93,12 +93,37 @@ class TestExteriorPower:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_stack_matches_per_matrix_calls(self, k):
+        # the expansion is elementwise: a matrix of a stack gets the bits
+        # it gets on its own
         rng = _rng(7)
         gs = np.array([geo.sample_matrix(rng, 4) for _ in range(6)])
         stacked = geo.exterior_power(gs.reshape(2, 3, 4, 4), k)
-        per = np.array([_exterior_power_reference(g, k) for g in gs])
+        per = np.array([geo.exterior_power(g, k) for g in gs])
+        minors = math.comb(4, k)
+        assert per.shape == (6, minors, minors)
         assert np.array_equal(stacked.reshape(per.shape), per)
-        assert np.array_equal(geo.exterior_power(gs[0], k), per[0])
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_minors_match_lapack_determinants(self, d):
+        # Against one LAPACK det per minor, relative to the product of the
+        # minor's row norms: the expansion's bound (k (k + 1) / 2) k^(k/2)
+        # eps (see exterior_power) plus 4 k eps for the reference, which
+        # numpy evaluates as sign * exp(log|det|). Rows are rescaled by up
+        # to e^3 either way, so the scale is not that of one matrix.
+        rng = _rng(20 + d)
+        eps = np.finfo(float).eps
+        for _ in range(20):
+            g = (geo.sample_matrix(rng, d)
+                 * np.exp(rng.uniform(-3.0, 3.0, (d, 1))))
+            for k in range(1, d + 1):
+                subsets = list(itertools.combinations(range(d), k))
+                scale = np.array([[np.prod(np.linalg.norm(
+                    g[np.ix_(rows, cols)], axis=1)) for cols in subsets]
+                    for rows in subsets])
+                err = np.abs(geo.exterior_power(g, k)
+                             - _exterior_power_reference(g, k))
+                tol = (k * (k + 1) / 2 * k ** (k / 2) + 4 * k) * eps
+                assert np.max(err / scale) <= tol, (d, k)
 
     def test_rejects_non_square_stack(self):
         with pytest.raises(geo.InvalidMatrixError):
@@ -179,6 +204,32 @@ class TestGrassmann:
         bases[1, :, 1] = 2.0 * bases[1, :, 0]
         with pytest.raises(ValueError):
             geo.unit_wedge(bases)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (7, 3, 2), (4, 2, 3, 2)])
+    def test_unit_wedge_and_distance_match_their_linalg_norm_forms(
+            self, shape):
+        # the sums of squares of unit_wedge and wedge_distance against
+        # np.linalg.norm over the same axes, bit for bit
+        rng = _rng(14)
+        bases = rng.standard_normal(shape) * np.exp(
+            rng.uniform(-5.0, 5.0, shape))
+        (a0, b0), (a1, b1), (a2, b2) = np.moveaxis(bases, (-2, -1), (0, 1))
+        w = np.stack([a0 * b1 - a1 * b0, a0 * b2 - a2 * b0,
+                      a1 * b2 - a2 * b1], axis=-1)
+        want = w / np.linalg.norm(w, axis=-1, keepdims=True)
+        got = geo.unit_wedge(bases)
+        assert got.tobytes() == want.tobytes()
+        other = geo.unit_wedge(rng.standard_normal(shape))
+        want = np.minimum(np.linalg.norm(got - other, axis=-1),
+                          np.linalg.norm(got + other, axis=-1))
+        assert np.asarray(geo.wedge_distance(got, other)).tobytes() \
+            == np.asarray(want).tobytes()
+        # the dependence test compares against the same column lengths
+        lengths = np.prod(np.linalg.norm(bases, axis=-2), axis=-1)
+        norm = np.linalg.norm(w, axis=-1)
+        assert np.array_equal(geo._length(*np.moveaxis(w, -1, 0)), norm)
+        assert np.array_equal(
+            geo._length(a0, a1, a2) * geo._length(b0, b1, b2), lengths)
 
     @pytest.mark.parametrize("shape", [(3,), (2, 2), (3, 1), (3, 3),
                                        (4, 2), (5, 3, 2, 1)])

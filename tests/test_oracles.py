@@ -163,6 +163,25 @@ def test_batched_trials_match_per_trial_loop(case):
     assert np.all(np.max(np.abs(got - want), axis=0) <= tol)
 
 
+@pytest.mark.parametrize("N", [2, 3, 5])
+@pytest.mark.parametrize("n", [1, 17, 5000])
+def test_iid_indices_match_per_trial_choice(N, n):
+    # one rng.random(n) per trial, counted against Generator.choice's cdf:
+    # the indices and the streams after them are choice's, bit for bit
+    rng = np.random.default_rng(N)
+    T = geo.MatrixTuple.from_matrices(
+        [geo.sample_matrix(rng, 2) for _ in range(N)])
+    weights = rng.dirichlet(np.full(N, 0.5))
+    spec = orc.CocycleSpec.iid(T, weights / weights.sum())
+    rngs = [orc._trial_rng(4, trial) for trial in range(3)]
+    idx = orc._draw_indices(spec, rngs, n)
+    assert idx.shape == (3, n) and idx.dtype == np.uint8
+    for trial, (row, after) in enumerate(zip(idx, rngs)):
+        want = orc._trial_rng(4, trial)
+        assert row.tolist() == _draw_indices_reference(spec, want, n)
+        assert after.random() == want.random()
+
+
 @pytest.mark.parametrize("n", [1, 15, 16, 17, 1750])
 def test_chain_indices_match_per_step_loop(n):
     # lengths below, on and past a multiple of CHAIN_SEGMENT

@@ -199,6 +199,47 @@ def test_grid_holder_seminorm_matches_all_pairs(m, theta):
         assert row == got  # a row of a stack is the function on its own
 
 
+def _grid_holder_seminorm_all_shifts(f, theta):
+    """The seminorm over every shift s = 1..m // 2, no row left out."""
+    m = f.shape[-1]
+    half = m // 2
+    wrapped = np.concatenate([f, f[..., :half]], axis=-1)
+    dists = np.sin(np.arange(1, half + 1) * (math.pi / m)) ** theta
+    out = np.zeros(f.shape[:-1])
+    for s in range(1, half + 1):
+        gaps = np.max(np.abs(wrapped[..., s:s + m] - f), axis=-1)
+        out = np.maximum(out, gaps / dists[s - 1])
+    return out
+
+
+@pytest.mark.parametrize("m", [9, 100, 101, 601])
+@pytest.mark.parametrize("theta", [0.1, 0.5, 1.0])
+def test_pruned_holder_seminorm_matches_all_shifts(m, theta):
+    # rows leave the shift loop once their oscillation cannot beat their
+    # max: the result is the all-shift one bit for bit, NaN rows included
+    rng = np.random.default_rng(m)
+    angles = np.arange(m) * (math.pi / m)
+    f = rng.standard_normal((2, 3, m))
+    f[0, 1] = 2.5                                   # constant
+    f[0, 2] = np.cos(2 * angles) + 0.1 * angles     # smooth, one jump
+    f[1, 0, m // 3] = np.nan
+    f[1, 1] = np.cumsum(f[1, 1]) * 1e-3             # a random walk
+    # two infinities m // 2 apart: inf from shift 1, inf - inf = NaN only
+    # at the last shift
+    f[1, 2, [1, 1 + m // 2]] = np.inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = ver._grid_holder_seminorm(f, theta)
+        want = _grid_holder_seminorm_all_shifts(f, theta)
+        alone = [ver._grid_holder_seminorm(row, theta)
+                 for row in f.reshape(-1, m)]
+    assert got.shape == (2, 3)
+    assert got.tobytes() == want.tobytes()
+    assert got[0, 1] == 0.0 and np.isnan(got[1, 0]) and np.isnan(got[1, 2])
+    assert not np.isnan(np.delete(got.ravel(), [3, 5])).any()
+    for row, value in zip(alone, got.ravel()):
+        assert row.shape == () and row.tobytes() == value.tobytes()
+
+
 def test_stacked_transfer_norm_check_matches_per_function_loop():
     # The check as one T @ f and one Holder quotient per test function,
     # with the same draws, bound and skip of near-zero functions.
@@ -265,10 +306,84 @@ def test_batched_exterior_norm_check_matches_per_sample_loop():
         for u, rot in zip(uniforms, normals):
             g, s = geo.matrix_law(u, rot)
             top2 = np.prod(s[:2])
-            lhs = np.linalg.norm(geo.exterior_power(g, 2), 2)
+            minors = geo.exterior_power(g, 2)
+            lhs = np.sqrt(np.linalg.eigvalsh(minors.T @ minors)[-1])
             want = max(want, abs(lhs - top2) / top2)
     rep = ver.exterior_norm_identity_check(samples=1500, seed=4)
     assert rep.checks[0].measured == want
+
+
+def _resolvent_identity_loop(trials, seed, n):
+    """The check one trial at a time: the measured identity error, series
+    error and series-checked count."""
+    rng = np.random.default_rng(seed)
+    worst_identity, worst_series, series_checked = 0.0, 0.0, 0
+    eye = np.eye(n)
+    for _ in range(trials):
+        A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        E = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        B = A + 0.1 * E / np.linalg.norm(E, 2)
+        zeta = ((np.linalg.norm(A, 2) + 2.0)
+                * np.exp(2j * math.pi * rng.random()))
+        RA = np.linalg.inv(zeta * eye - A)
+        RB = np.linalg.inv(zeta * eye - B)
+        lhs = RB - RA
+        rhs = RB @ (B - A) @ RA
+        worst_identity = max(worst_identity,
+                             float(np.linalg.norm(lhs - rhs, 2)
+                                   / max(np.linalg.norm(RB, 2), 1.0)))
+        errors = _neumann_series_loop(RA[None], RB[None], ((B - A) @ RA)[None])
+        series_checked += len(errors)
+        worst_series = max([worst_series] + errors)
+    return worst_identity, worst_series, series_checked
+
+
+def _neumann_series_loop(RA, RB, C):
+    """The partial sums one trial and one term at a time."""
+    errors = []
+    for ra, rb, c in zip(RA, RB, C):
+        q = float(np.linalg.norm(c, 2))
+        if q < 0.9:
+            terms = max(20, int(math.log(1e-12) / math.log(max(q, 1e-6))) + 2)
+            acc = np.zeros_like(ra)
+            power = np.eye(len(ra)).astype(complex)
+            for _ in range(terms):
+                acc = acc + ra @ power
+                power = power @ c
+            errors.append(float(np.linalg.norm(acc - rb, 2)))
+    return errors
+
+
+@pytest.mark.parametrize("seed, trials, n", [(3, 20, 8), (4, 7, 5),
+                                             (11, 33, 8)])
+def test_stacked_resolvent_check_matches_per_trial_loop(seed, trials, n):
+    identity, series = ver.resolvent_identity_check(trials, seed, n).checks
+    worst_identity, worst_series, checked = _resolvent_identity_loop(
+        trials, seed, n)
+    assert identity.measured == worst_identity
+    assert series.measured == worst_series
+    assert series.detail == (f"{checked}/{trials} instances had "
+                             "contraction < 0.9")
+
+
+def test_stacked_neumann_series_matches_per_trial_loop():
+    # ||RA|| <= 1/2 in the check keeps its contraction near 0.02, where
+    # every trial takes the minimum of 20 terms. Here C is q times a
+    # unitary matrix, so ||C^j|| = q^j and a term past a trial's count
+    # would still move its sum: q = 0.02 .. 0.99, term counts 20 to 239
+    # for the six trials at q < 0.9; the three at q >= 0.9 are left out.
+    rng = np.random.default_rng(8)
+    shape = (9, 6, 6)
+    RA, RB, C = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                 for _ in range(3))
+    RA /= 4.0
+    C = np.linalg.qr(C)[0] * np.array(
+        [0.5, 0.99, 0.7, 0.02, 0.95, 0.89, 0.9, 0.3, 0.85])[:, None, None]
+    RB = RA @ np.linalg.inv(np.eye(6) - C) + 1e-9 * RB
+    got = ver._neumann_series_errors(RA, RB, C)
+    want = _neumann_series_loop(RA, RB, C)
+    assert len(got) == len(want) == 6
+    assert got.tolist() == want
 
 
 class TestSamplingSuites:
